@@ -64,7 +64,7 @@ coal::runtime_config chaos_config(std::uint64_t seed)
     coal::runtime_config cfg;
     cfg.num_localities = chaos_n;
     cfg.workers_per_locality = 1;    // keep thread count sane on small boxes
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     cfg.idle_sleep_us = 50;
 

@@ -225,7 +225,7 @@ void report_zero_copy_pipeline()
 
     coal::runtime_config cfg;
     cfg.num_localities = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     coal::runtime rt(cfg);
 
     coal::apps::toy_params params;

@@ -167,11 +167,11 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     }
     std::uint32_t const wire_dst = relayed ? resolve_target(route) : dst;
 
-    // Per-link circuit breaker: while the reliability layer reports the
-    // wire link (the relay's, for a node route) as degraded, batching
-    // only stacks coalescing delay on top of retransmission timeouts.
-    // Flush whatever is queued for the route and send this parcel along
-    // immediately (effectively nparcels = 1 until the link heals).
+    // Degraded link (breaker open or peer suspected): while the wire link
+    // (the relay's, for a node route) is degraded, batching only stacks
+    // coalescing delay on top of retransmission timeouts.  Flush whatever
+    // is queued for the route and send this parcel along immediately
+    // (effectively nparcels = 1 until the link heals).
     if (parcels_.link_degraded(wire_dst))
     {
         breaker_bypasses_.fetch_add(1, std::memory_order_relaxed);

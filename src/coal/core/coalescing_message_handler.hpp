@@ -131,8 +131,8 @@ public:
         return size_flushes_.load(std::memory_order_relaxed);
     }
 
-    /// Parcels that skipped batching because the destination link's
-    /// circuit breaker was open (reliability layer degradation).
+    /// Parcels that skipped batching because the destination link was
+    /// degraded (circuit breaker open or peer suspected).
     [[nodiscard]] std::uint64_t breaker_bypasses() const noexcept
     {
         return breaker_bypasses_.load(std::memory_order_relaxed);

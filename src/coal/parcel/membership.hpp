@@ -17,12 +17,13 @@
 ///  - **Phi-accrual suspicion.**  Per peer, the receiver keeps an EWMA
 ///    of frame interarrival times and scores silence as
 ///    `phi = elapsed / max(ewma, heartbeat_interval)`.  Crossing
-///    `suspect_phi` marks the peer *suspected* (coalescing bypasses
-///    batching, exactly like an open breaker); crossing `dead_phi` —
-///    but never before `min_dead_us` of silence — declares it *dead*:
-///    all queued/deferred/retransmit-held parcels for the peer fail with
-///    `delivery_error::peer_failed`, and its seq/credit/breaker state is
-///    torn down to a one-entry tombstone holding the fenced epoch.
+///    `suspect_phi` marks the peer *suspected* (the `phi_suspect` cause
+///    of peer_health.hpp: coalescing bypasses batching); crossing
+///    `dead_phi` — but never before `min_dead_us` of silence — declares
+///    it *dead*: all queued/deferred/retransmit-held parcels for the peer
+///    fail with `delivery_error::peer_failed`, and its seq/credit/breaker
+///    state is torn down to a one-entry tombstone holding the fenced
+///    epoch.
 ///
 ///  - **Incarnation epochs.**  Every locality runs under an epoch
 ///    (starting at 1, bumped on restart) and every frame carries both
@@ -66,20 +67,6 @@ enum class peer_status : std::uint8_t
     suspected,    ///< silent past suspect_phi; batching bypassed
     dead,         ///< declared failed; state fenced, tombstone retained
 };
-
-[[nodiscard]] constexpr char const* to_string(peer_status s) noexcept
-{
-    switch (s)
-    {
-    case peer_status::alive:
-        return "alive";
-    case peer_status::suspected:
-        return "suspected";
-    case peer_status::dead:
-        return "dead";
-    }
-    return "?";
-}
 
 /// Tunables of the failure detector.  Disabled by default: no heartbeats
 /// are emitted, no suspicion is scored, and epoch fields stay inert.

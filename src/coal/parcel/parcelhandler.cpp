@@ -98,39 +98,14 @@ void parcelhandler::put_parcel(parcel&& p)
     COAL_ASSERT_MSG(p.action != 0, "parcel without action");
     p.source = here_;
 
-    // A crashed incarnation delivers and executes nothing; surface the
-    // parcel through the failure path so producer-side accounting still
-    // balances (offered == confirmed + failed + shed).
-    if (crashed_.load(std::memory_order_acquire))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
+    if (fail_unreachable(p))
         return;
-    }
 
     if (p.dest == here_)
     {
         trace::tracer::global().record(
             here_, trace::event_kind::parcel_local, p.action);
         deliver_local(std::move(p));
-        return;
-    }
-
-    // A parcel toward a peer the failure detector declared dead fails
-    // immediately instead of queueing behind a link that will never ack.
-    // (A rejoin under a new incarnation epoch clears the dead mark and
-    // traffic resumes.)  Steady state costs two relaxed loads; a dead
-    // tombstone counts, so eviction never un-quarantines an incarnation.
-    if (membership_.enabled &&
-        dead_peers_.load(std::memory_order_acquire) +
-                tombstoned_dead_.load(std::memory_order_acquire) !=
-            0 &&
-        peer_dead(p.dest))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
         return;
     }
 
@@ -325,20 +300,13 @@ peer_state& parcelhandler::hydrate_locked(peer_entry& e)
     if (e.live)
         return *e.live;
     bool const was_tomb = e.tombstoned;
-    bool const was_dead = was_tomb && e.tomb.status == peer_status::dead;
     peer_state& peer =
         store_.hydrate(e, self_epoch_.load(std::memory_order_relaxed));
     std::int64_t const now = now_ns();
     if (was_tomb)
     {
         counters_.peers_rehydrated.fetch_add(1, std::memory_order_relaxed);
-        if (was_dead)
-        {
-            // The quarantine gauge moves back to the live column; the
-            // put_parcel fail-fast gate keeps reading the sum.
-            tombstoned_dead_.fetch_sub(1, std::memory_order_release);
-            dead_peers_.fetch_add(1, std::memory_order_release);
-        }
+        health_.clear(peer.health, e.id, peer_health::tombstoned);
     }
     // Hydration is contact: restart the idle clock, and hand the entry to
     // the due ring so liveness/heartbeat service resumes (entry -> ring
@@ -364,25 +332,18 @@ bool parcelhandler::try_evict_locked(
     std::int64_t idle_ns = store_params_.evict_idle_us * 1000;
     // Dead peers linger 8x: several rejoin-probe cycles run before the
     // quarantine is compressed into the tombstone.
-    if (peer.status == peer_status::dead)
+    if (peer.health.dead())
         idle_ns *= 8;
     if (e.last_activity_ns == 0 || now - e.last_activity_ns < idle_ns)
         return false;
     if (!peer_store::evictable(peer))
         return false;
-    if (peer.status == peer_status::suspected)
-    {
-        // Suspicion is a live-detector verdict, not protocol state: it
-        // does not survive eviction.  (If the peer is genuinely gone, the
-        // next hydration's silence re-derives it.)
-        peer.status = peer_status::alive;
-        suspected_peers_.fetch_sub(1, std::memory_order_release);
-    }
-    else if (peer.status == peer_status::dead)
-    {
-        dead_peers_.fetch_sub(1, std::memory_order_release);
-        tombstoned_dead_.fetch_add(1, std::memory_order_release);
-    }
+    // Suspicion is a live-detector verdict, not protocol state: it does
+    // not survive eviction.  (If the peer is genuinely gone, the next
+    // hydration's silence re-derives it.)  The tombstone keeps the verdict.
+    health_.set(peer.health, e.id,
+        peer.health.dead() ? peer_health::dead_bit | peer_health::tombstoned :
+                             0);
     store_.demote(e);
     counters_.peers_evicted.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -464,7 +425,7 @@ bool parcelhandler::progress_send()
         {
             std::lock_guard lock(e.lock);
             peer_state& peer = hydrate_locked(e);
-            if (membership_.enabled && peer.status == peer_status::dead)
+            if (membership_.enabled && peer.health.dead())
             {
                 // Jobs already queued when the peer was declared dead (or
                 // flushed out of coalescing queues by the death) fail here.
@@ -515,12 +476,12 @@ bool parcelhandler::progress_send()
         }
         if (dead)
         {
-            fail_job(delivery_error::peer_failed, std::move(*job));
+            fail_parcels(delivery_error::peer_failed, std::move(job->parcels));
             return true;
         }
         if (down)
         {
-            fail_job(delivery_error::link_down, std::move(*job));
+            fail_parcels(delivery_error::link_down, std::move(job->parcels));
             return true;
         }
         if (deferred)
@@ -542,7 +503,7 @@ bool parcelhandler::progress_send()
             std::lock_guard lock(e.lock);
             peer_state& peer = hydrate_locked(e);
             if (membership_.enabled &&
-                (peer.status == peer_status::dead || peer.stream_gen != gen))
+                (peer.health.dead() || peer.stream_gen != gen))
             {
                 // Declared dead — or fenced by a death/rejoin — between the
                 // two lock sections.  Registering here would inject a frame
@@ -589,7 +550,7 @@ bool parcelhandler::progress_send()
         }
         if (dead)
         {
-            fail_job(delivery_error::peer_failed, std::move(*job));
+            fail_parcels(delivery_error::peer_failed, std::move(job->parcels));
             return true;
         }
         // Arm the retransmission timer (CAS-min: a no-op if an earlier
@@ -890,30 +851,12 @@ void parcelhandler::forward_parcel(parcel&& p)
     // a promise *there*, not here.
     COAL_ASSERT(p.dest != here_);
 
-    // The relay crashed after taking custody: the origin's copy is acked
-    // and gone, so the loss must surface through this locality's failure
-    // accounting (same funnel kill_locality drains).
-    if (crashed_.load(std::memory_order_acquire))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
+    // Same fail-fast as put_parcel.  A relay that crashed after taking
+    // custody surfaces the loss through this locality's failure
+    // accounting (the origin's copy is acked and gone), and a fan-out leg
+    // toward a dead peer would never be acked.
+    if (fail_unreachable(p))
         return;
-    }
-
-    // Same fail-fast as put_parcel: a fan-out leg toward a dead peer
-    // would never be acked.
-    if (membership_.enabled &&
-        dead_peers_.load(std::memory_order_acquire) +
-                tombstoned_dead_.load(std::memory_order_acquire) !=
-            0 &&
-        peer_dead(p.dest))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
-        return;
-    }
 
     counters_.parcels_fanned_out.fetch_add(1, std::memory_order_relaxed);
     trace::tracer::global().record(
@@ -1001,17 +944,12 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
         // window was never observable; with event-driven service the
         // window is a full heartbeat interval, long enough for a caller
         // to read a healthy link and resume batching prematurely.
-        if (peer.breaker_open &&
+        if (peer.health.tripped() &&
             peer.unacked.size() <= reliability_.breaker_close_backlog &&
             (peer.unacked.empty() ||
                 peer.unacked.begin()->second.attempts <=
                     reliability_.breaker_trip_attempts))
-        {
-            peer.breaker_open = false;
-            open_breakers_.fetch_sub(1, std::memory_order_release);
-            COAL_LOG_INFO("parcel",
-                "link %u->%u healed: circuit breaker closed", here_, src);
-        }
+            health_.clear(peer.health, src, peer_health::breaker);
 
         if (flow_.enabled)
         {
@@ -1089,21 +1027,13 @@ std::int64_t parcelhandler::initial_rto_ns_locked(peer_state const& peer) const
 void parcelhandler::maybe_trip_breaker_locked(
     std::uint32_t dst, peer_state& peer)
 {
-    if (peer.breaker_open)
+    if (peer.health.tripped())
         return;
-    bool trip = peer.unacked.size() >= reliability_.breaker_trip_backlog;
-    if (!trip && !peer.unacked.empty())
-        trip = peer.unacked.begin()->second.attempts >
-            reliability_.breaker_trip_attempts;
-    if (!trip)
-        return;
-    peer.breaker_open = true;
-    open_breakers_.fetch_add(1, std::memory_order_release);
-    counters_.circuit_breaker_trips.fetch_add(1, std::memory_order_relaxed);
-    COAL_LOG_WARN("parcel",
-        "link %u->%u degraded (%zu unacked): circuit breaker open, "
-        "coalescing bypassed",
-        here_, dst, peer.unacked.size());
+    if (peer.unacked.size() >= reliability_.breaker_trip_backlog ||
+        (!peer.unacked.empty() &&
+            peer.unacked.begin()->second.attempts >
+                reliability_.breaker_trip_attempts))
+        health_.raise(peer.health, dst, peer_health::retransmit_backlog);
 }
 
 std::int64_t parcelhandler::service_peer(peer_entry& e)
@@ -1159,30 +1089,21 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             }
         }
 
-        if (flow_.enabled && peer.status != peer_status::dead)
+        if (flow_.enabled && !peer.health.dead())
         {
             // Slow-peer detector: a link that has kept jobs deferred for
             // starvation_trip_us without any grant movement is treated
             // like a dark link — trip its circuit breaker so the
             // coalescer bypasses batching and, once the byte cap is also
             // exhausted, sends fail as link_down.
-            if (!peer.breaker_open && !peer.deferred.empty() &&
+            if (!peer.health.tripped() && !peer.deferred.empty() &&
                 peer.starved_since_ns != 0 &&
                 now - peer.starved_since_ns >=
                     flow_.starvation_trip_us * 1000)
             {
-                peer.breaker_open = true;
-                open_breakers_.fetch_add(1, std::memory_order_release);
-                counters_.starvation_trips.fetch_add(
-                    1, std::memory_order_relaxed);
-                counters_.circuit_breaker_trips.fetch_add(
-                    1, std::memory_order_relaxed);
+                health_.raise(
+                    peer.health, dst, peer_health::credit_starvation);
                 peer.starved_since_ns = now;
-                COAL_LOG_WARN("parcel",
-                    "link %u->%u credit-starved for %lld us: circuit "
-                    "breaker open",
-                    here_, dst,
-                    static_cast<long long>(flow_.starvation_trip_us));
             }
 
             if (link_down_locked(peer) && !peer.deferred.empty())
@@ -1210,7 +1131,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             if (!peer.deferred.empty())
             {
                 closer(now + flow_.defer_service_us * 1000);
-                if (!peer.breaker_open && peer.starved_since_ns != 0)
+                if (!peer.health.tripped() && peer.starved_since_ns != 0)
                     closer(peer.starved_since_ns +
                         flow_.starvation_trip_us * 1000);
             }
@@ -1266,7 +1187,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
 
         if (membership_.enabled)
         {
-            if (peer.status == peer_status::dead)
+            if (peer.health.dead())
             {
                 // Probe the dead peer occasionally: a restarted
                 // incarnation answers (or just talks) with a higher
@@ -1305,33 +1226,14 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                     static_cast<double>(membership_.heartbeat_interval_us));
                 double const phi = elapsed_us / mean_us;
 
-                if (peer.status == peer_status::alive &&
-                    phi >= membership_.suspect_phi)
-                {
-                    peer.status = peer_status::suspected;
-                    suspected_peers_.fetch_add(1, std::memory_order_release);
-                    counters_.peers_suspected.fetch_add(
-                        1, std::memory_order_relaxed);
-                    trace::tracer::global().record(here_,
-                        trace::event_kind::peer_suspected, dst,
-                        static_cast<std::uint64_t>(phi * 1000.0));
-                    COAL_LOG_WARN("parcel",
-                        "peer %u suspected (phi %.1f, silent %.0f us): "
-                        "coalescing bypassed",
-                        dst, phi, elapsed_us);
-                }
+                if (phi >= membership_.suspect_phi)
+                    health_.raise(peer.health, dst, peer_health::phi_suspect);
 
                 if (phi >= membership_.dead_phi &&
                     elapsed_us >=
                         static_cast<double>(membership_.min_dead_us))
                 {
-                    if (peer.status == peer_status::suspected)
-                        suspected_peers_.fetch_sub(
-                            1, std::memory_order_release);
-                    peer.status = peer_status::dead;
-                    dead_peers_.fetch_add(1, std::memory_order_release);
-                    counters_.peers_declared_dead.fetch_add(
-                        1, std::memory_order_relaxed);
+                    health_.set(peer.health, dst, peer_health::dead_bit);
                     fence_peer_locked(e, peer, death);
                     died = true;
                     peer.last_probe_ns = now;
@@ -1393,7 +1295,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
     }
     for (auto& job : failed_deferred)
     {
-        fail_job(delivery_error::link_down, std::move(job));
+        fail_parcels(delivery_error::link_down, std::move(job.parcels));
         deferred_sends_.fetch_sub(1, std::memory_order_release);
     }
     if (probe || beat)
@@ -1437,22 +1339,11 @@ std::size_t parcelhandler::pending_reliability() const
 
 bool parcelhandler::link_degraded(std::uint32_t dst) const
 {
-    // Fast path for the coalescer's enqueue: with no breaker open and no
-    // peer suspected anywhere (the steady state), answer from atomic
-    // loads without touching any lock.
-    if (!reliability_.enabled ||
-        (open_breakers_.load(std::memory_order_acquire) == 0 &&
-            suspected_peers_.load(std::memory_order_acquire) == 0))
-        return false;
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return false;
-    std::lock_guard lock(e->lock);
-    // A tombstoned peer is never degraded: eviction clears suspicion and
-    // requires a closed breaker.
-    return e->live != nullptr &&
-        (e->live->breaker_open ||
-            e->live->status == peer_status::suspected);
+    // Fast path for the coalescer's enqueue: with no link degraded
+    // anywhere (the steady state), answer from one atomic load without
+    // touching any lock.  A tombstone carries no causes.
+    return reliability_.enabled && health_.any_degraded() &&
+        (debug_peer(dst).health & peer_health::causes_mask) != 0;
 }
 
 pressure_state parcelhandler::flow_pressure(std::uint32_t dst) const
@@ -1522,7 +1413,7 @@ bool parcelhandler::should_defer_locked(
 
 bool parcelhandler::link_down_locked(peer_state const& peer) const noexcept
 {
-    return peer.breaker_open && flow_.link_inflight_cap_bytes != 0 &&
+    return peer.health.tripped() && flow_.link_inflight_cap_bytes != 0 &&
         peer.unacked_bytes + peer.deferred_bytes >=
             flow_.link_inflight_cap_bytes;
 }
@@ -1584,18 +1475,6 @@ void parcelhandler::update_link_pressure_locked(peer_state& peer)
         links_critical_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void parcelhandler::fail_job(delivery_error err, send_job&& job)
-{
-    if (err == delivery_error::link_down)
-    {
-        COAL_LOG_WARN("parcel",
-            "link %u->%u down: %zu parcels failed (breaker open, in-flight "
-            "cap exhausted)",
-            here_, job.dst, job.parcels.size());
-    }
-    fail_parcels(err, std::move(job.parcels));
-}
-
 void parcelhandler::fail_parcels(
     delivery_error err, std::vector<parcel>&& parcels)
 {
@@ -1638,6 +1517,10 @@ void parcelhandler::fail_parcels(
             parcels.size(), std::memory_order_relaxed);
         trace::tracer::global().record(here_, trace::event_kind::link_down,
             parcels.front().dest, parcels.size());
+        COAL_LOG_WARN("parcel",
+            "link %u->%u down: %zu parcels failed (breaker open, in-flight "
+            "cap exhausted)",
+            here_, parcels.front().dest, parcels.size());
         break;
     case delivery_error::peer_failed:
         counters_.peer_failed_failures.fetch_add(
@@ -1674,15 +1557,19 @@ void parcelhandler::stamp_epochs_locked(
     hdr.dst_epoch = peer.epoch == 0 ? 1 : peer.epoch;
 }
 
-bool parcelhandler::peer_dead(std::uint32_t dst) const
+bool parcelhandler::fail_unreachable(parcel& p)
 {
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
+    // Failing through the failure path keeps producer-side accounting
+    // balanced (offered == confirmed + failed + shed).  A dead tombstone
+    // counts, so eviction never un-quarantines an incarnation.
+    if (!crashed_.load(std::memory_order_acquire) &&
+        !(membership_.enabled && health_.any_dead() &&
+            peer_liveness(p.dest) == peer_status::dead))
         return false;
-    std::lock_guard lock(e->lock);
-    if (e->live)
-        return e->live->status == peer_status::dead;
-    return e->tombstoned && e->tomb.status == peer_status::dead;
+    std::vector<parcel> failed;
+    failed.push_back(std::move(p));
+    fail_parcels(delivery_error::peer_failed, std::move(failed));
+    return true;
 }
 
 void parcelhandler::fence_peer_locked(
@@ -1722,11 +1609,7 @@ void parcelhandler::fence_peer_locked(
         peer.ack_pending = false;
         acks_pending_.fetch_sub(1, std::memory_order_release);
     }
-    if (peer.breaker_open)
-    {
-        peer.breaker_open = false;
-        open_breakers_.fetch_sub(1, std::memory_order_release);
-    }
+    health_.clear(peer.health, e.id, peer_health::breaker);
     if (flow_.enabled)
         update_link_pressure_locked(peer);
     // A fence is contact (death verdict or rejoin): restart the idle
@@ -1790,19 +1673,13 @@ bool parcelhandler::membership_admit(
         // chatter never resurrect a full protocol block.
         if (!e.live && e.tombstoned)
         {
-            if (hdr.src_epoch != 0 && hdr.src_epoch < e.tomb.epoch)
+            // A ghost from an incarnation that already rejoined under a
+            // newer epoch, or the quarantined incarnation still knocking:
+            // the tombstone answers without rehydrating it.
+            if (hdr.src_epoch != 0 &&
+                (hdr.src_epoch < e.tomb.epoch ||
+                    (hdr.src_epoch == e.tomb.epoch && e.tomb.health.dead())))
             {
-                // Ghost from an incarnation that already rejoined under a
-                // newer epoch.
-                counters_.stale_epoch_frames.fetch_add(
-                    1, std::memory_order_relaxed);
-                return false;
-            }
-            if (hdr.src_epoch != 0 && hdr.src_epoch == e.tomb.epoch &&
-                e.tomb.status == peer_status::dead)
-            {
-                // The quarantined incarnation keeps knocking: the
-                // tombstone answers without rehydrating it.
                 counters_.stale_epoch_frames.fetch_add(
                     1, std::memory_order_relaxed);
                 return false;
@@ -1846,11 +1723,7 @@ bool parcelhandler::membership_admit(
                 // its previous incarnation, then admit the frame under the
                 // new epoch.
                 fence_peer_locked(e, peer, fenced);
-                if (peer.status == peer_status::suspected)
-                    suspected_peers_.fetch_sub(1, std::memory_order_release);
-                else if (peer.status == peer_status::dead)
-                    dead_peers_.fetch_sub(1, std::memory_order_release);
-                peer.status = peer_status::alive;
+                health_.set(peer.health, src, 0);
                 peer.epoch = hdr.src_epoch;
                 peer.ewma_interarrival_us = 0.0;
                 counters_.peer_rejoins.fetch_add(
@@ -1858,7 +1731,7 @@ bool parcelhandler::membership_admit(
                 rejoined = true;
                 rejoin_epoch = hdr.src_epoch;
             }
-            else if (peer.status == peer_status::dead)
+            else if (peer.health.dead())
             {
                 // Same epoch as when we declared it dead: the incarnation
                 // stays quarantined — only a restart under a higher epoch
@@ -1882,13 +1755,7 @@ bool parcelhandler::membership_admit(
                     membership_.interarrival_gain * sample_us;
         }
         peer.last_heard_ns = now;
-        if (peer.status == peer_status::suspected)
-        {
-            peer.status = peer_status::alive;
-            suspected_peers_.fetch_sub(1, std::memory_order_release);
-            COAL_LOG_INFO("parcel",
-                "peer %u heard from again: suspicion cleared", src);
-        }
+        health_.clear(peer.health, src, peer_health::phi_suspect);
         // Only DATA traffic restarts the idle-eviction clock; heartbeats
         // and probes must not keep an idle pair resident forever.
         if (hdr.seq != 0 || info.count != 0)
@@ -2004,8 +1871,8 @@ parcelhandler::health_snapshot parcelhandler::health() const
     // Live footprint only: tombstoned peers left the working set (their
     // quarantine, if any, is visible through peer_stats()).
     s.known_peers = store_.active();
-    s.suspected_peers = suspected_peers_.load(std::memory_order_relaxed);
-    s.dead_peers = dead_peers_.load(std::memory_order_relaxed);
+    s.suspected_peers = health_.suspected();
+    s.dead_peers = health_.dead_live();
     return s;
 }
 
@@ -2022,13 +1889,7 @@ parcelhandler::peer_store_stats parcelhandler::peer_stats() const
 
 peer_status parcelhandler::peer_liveness(std::uint32_t dst) const
 {
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return peer_status::alive;
-    std::lock_guard lock(e->lock);
-    if (e->live)
-        return e->live->status;
-    return e->tombstoned ? e->tomb.status : peer_status::alive;
+    return debug_peer(dst).status;
 }
 
 namespace {
@@ -2038,7 +1899,8 @@ namespace {
     {
         d.known = true;
         d.evicted = false;
-        d.status = peer.status;
+        d.status = peer.health.status();
+        d.health = peer.health.bits();
         d.epoch = peer.epoch;
         d.unacked_frames = peer.unacked.size();
         d.held_frames = peer.held.size();
@@ -2070,7 +1932,8 @@ parcelhandler::peer_debug parcelhandler::debug_peer(std::uint32_t dst) const
     {
         d.known = true;
         d.evicted = true;
-        d.status = e->tomb.status;
+        d.status = e->tomb.health.status();
+        d.health = e->tomb.health.bits();
         d.epoch = e->tomb.epoch;
         d.next_seq = e->tomb.next_seq;
         d.cum_received = e->tomb.cum_received;
@@ -2157,17 +2020,9 @@ void parcelhandler::simulate_crash()
                     fence_peer_locked(*ep, *ep->live, f);
                     if (!f.unacked.empty() || !f.deferred.empty())
                         fenced_all.push_back(std::move(f));
-                    if (ep->live->status == peer_status::suspected)
-                        suspected_peers_.fetch_sub(
-                            1, std::memory_order_release);
-                    else if (ep->live->status == peer_status::dead)
-                        dead_peers_.fetch_sub(1, std::memory_order_release);
                 }
-                else if (ep->tombstoned &&
-                    ep->tomb.status == peer_status::dead)
-                {
-                    tombstoned_dead_.fetch_sub(1, std::memory_order_release);
-                }
+                health_.set(ep->live ? ep->live->health : ep->tomb.health,
+                    ep->id, 0);
                 store_.reset(*ep);
             }
         }

@@ -69,8 +69,8 @@
 namespace coal::parcel {
 
 /// Monotonic counters the /parcels, /messages, /data and /net performance
-/// counters read.
-struct parcelhandler_counters
+/// counters read (health_counters holds the peer-health ones).
+struct parcelhandler_counters : health_counters
 {
     std::atomic<std::uint64_t> parcels_sent{0};
     std::atomic<std::uint64_t> parcels_received{0};
@@ -86,7 +86,6 @@ struct parcelhandler_counters
     std::atomic<std::uint64_t> acks_sent{0};    ///< standalone ack frames
     std::atomic<std::uint64_t> ack_latency_ns{0};
     std::atomic<std::uint64_t> acked_messages{0};
-    std::atomic<std::uint64_t> circuit_breaker_trips{0};
     // Batched receive pipeline (/threads/receive-pipeline/*):
     std::atomic<std::uint64_t> receive_drains{0};    ///< drains with >=1 frame
     std::atomic<std::uint64_t> frames_drained{0};    ///< frames those consumed
@@ -105,11 +104,8 @@ struct parcelhandler_counters
     std::atomic<std::uint64_t> credit_updates{0};  ///< window grants applied
     std::atomic<std::uint64_t> link_down_failures{0};    ///< parcels failed
     std::atomic<std::uint64_t> pressure_transitions{0};
-    std::atomic<std::uint64_t> starvation_trips{0};    ///< slow-peer breaker trips
     // Membership / failure detection (/net/health/*; zero while off):
     std::atomic<std::uint64_t> heartbeats_sent{0};    ///< standalone liveness frames
-    std::atomic<std::uint64_t> peers_suspected{0};    ///< suspicion escalations
-    std::atomic<std::uint64_t> peers_declared_dead{0};
     std::atomic<std::uint64_t> peer_rejoins{0};
     std::atomic<std::uint64_t> stale_epoch_frames{0};    ///< fenced-incarnation frames discarded
     /// False-positive deaths healed: this locality saw a frame addressed
@@ -177,14 +173,12 @@ struct reliability_params
     double rtt_gain = 0.125;
     double rto_rtt_multiplier = 4.0;
 
-    /// Per-link circuit breaker: opens when the retransmit backlog or the
-    /// oldest frame's attempt count crosses a threshold, closes once the
-    /// backlog drains to the low-water mark.  An open breaker makes the
-    /// coalescer flush immediately for that destination.
-    /// A healthy burst parks hundreds of unacked frames for one RTT, so
-    /// the backlog threshold must sit well above any sane window, and a
-    /// frame must survive several backoff doublings before its attempt
-    /// count signals a dark link rather than a slow ack.
+    /// Circuit-breaker trip/close thresholds (the retransmit_backlog
+    /// cause of peer_health.hpp).  A healthy burst parks hundreds of
+    /// unacked frames for one RTT, so the backlog threshold must sit well
+    /// above any sane window, and a frame must survive several backoff
+    /// doublings before its attempt count signals a dark link rather than
+    /// a slow ack.
     std::size_t breaker_trip_backlog = 4096;
     unsigned breaker_trip_attempts = 5;
     std::size_t breaker_close_backlog = 2;
@@ -374,9 +368,9 @@ public:
     /// quiesce() waits on this so retransmits cannot outlive shutdown.
     [[nodiscard]] std::size_t pending_reliability() const;
 
-    /// True while the circuit breaker for the link to `dst` is open or the
-    /// membership layer suspects the peer.  The coalescing handler
-    /// bypasses batching for degraded links.
+    /// True while any peer-health cause is set on the link to `dst`
+    /// (breaker open or peer suspected).  The coalescing handler bypasses
+    /// batching for degraded links.  Steady state is one acquire load.
     [[nodiscard]] bool link_degraded(std::uint32_t dst) const;
 
     [[nodiscard]] membership_params const& membership() const noexcept
@@ -403,13 +397,11 @@ public:
 
     /// Lock-free gate for liveness scans (relay selection): true while
     /// the failure detector trusts every peer — no suspected or dead
-    /// marks anywhere, tombstoned or live.  Steady state is three relaxed
+    /// marks anywhere, tombstoned or live.  Steady state is two acquire
     /// gauge loads.
     [[nodiscard]] bool all_peers_live() const noexcept
     {
-        return suspected_peers_.load(std::memory_order_acquire) == 0 &&
-            dead_peers_.load(std::memory_order_acquire) == 0 &&
-            tombstoned_dead_.load(std::memory_order_acquire) == 0;
+        return health_.suspected() == 0 && !health_.any_dead();
     }
 
     /// Aggregate membership gauges the /net/health counters read.
@@ -449,6 +441,7 @@ public:
         bool known = false;
         bool evicted = false;    ///< demoted to a tombstone (state zeroed)
         peer_status status = peer_status::alive;
+        std::uint8_t health = 0;    ///< peer_health bits: verdict + causes
         std::uint32_t epoch = 0;
         std::size_t unacked_frames = 0;
         std::size_t held_frames = 0;
@@ -558,9 +551,9 @@ private:
     /// peer_store::hydrate).  Caller holds e.lock.
     peer_state& hydrate_locked(peer_entry& e);
     /// Demote the entry to its tombstone when the idle policy and the
-    /// protocol-state safety check both allow it; clears suspicion and
-    /// moves a dead verdict to the tombstoned_dead_ gauge.  Caller holds
-    /// e.lock.  Returns true when the entry was evicted.
+    /// protocol-state safety check both allow it; the health tracker drops
+    /// suspicion and keeps only the verdict.  Caller holds e.lock.
+    /// Returns true when the entry was evicted.
     bool try_evict_locked(peer_entry& e, peer_state& peer, std::int64_t now);
     /// Clock-hand eviction sweep: examine up to evict_scan_budget entries
     /// via the shard snapshots (try-lock; concurrent callers skip).
@@ -592,9 +585,6 @@ private:
     /// Recompute this link's pressure state from its in-flight + deferred
     /// bytes; maintains the lock-free pressured_links_ fast path.
     void update_link_pressure_locked(peer_state& peer);
-    /// Fail a job's parcels through the delivery-error handler (called
-    /// without peers_lock_ held).
-    void fail_job(delivery_error err, send_job&& job);
     /// Emit trace/counter updates when the process-level pressure state
     /// changed since the last check.  Called from progress().
     void note_pressure_transition();
@@ -612,9 +602,9 @@ private:
     /// unacked and deferred parcels move to `out` (to be failed as
     /// peer_failed), held/ack/credit/seq/breaker state is reset, the
     /// stream re-binds to the current self epoch (link_epoch), and the
-    /// gauges (open_breakers_, deferred_sends_, pressured_links_ and the
-    /// reliability totals) are adjusted.  The caller decides what the
-    /// fence means (death vs rejoin) and fixes status/epoch afterwards.
+    /// gauges (deferred_sends_, pressured_links_ and the reliability
+    /// totals) are adjusted.  The caller decides what the fence means
+    /// (death vs rejoin) and fixes verdict/epoch afterwards.
     /// Caller holds e.lock.
     void fence_peer_locked(
         peer_entry& e, peer_state& peer, fenced_state& out);
@@ -634,9 +624,9 @@ private:
     /// receiver fences as a ghost — never the new epoch on a stale
     /// sequence number.  Called WITHOUT any peer lock held.
     void refute_self(std::uint32_t new_epoch, std::uint32_t accuser);
-    /// True when `dst` is currently marked dead (cheap gauge gate first,
-    /// then the entry lock; a dead tombstone counts).
-    [[nodiscard]] bool peer_dead(std::uint32_t dst) const;
+    /// Fail `p` as peer_failed when this incarnation crashed or its
+    /// destination is declared dead; returns true when it did.
+    bool fail_unreachable(parcel& p);
     /// Stamp the membership epochs on an outgoing frame header for `dst`.
     void stamp_epochs_locked(peer_state const& peer, frame_header& hdr) const;
 
@@ -685,10 +675,6 @@ private:
     std::size_t hand_shard_ = 0;
     std::size_t hand_pos_ = 0;
     std::int64_t hand_last_step_ns_ = 0;
-    /// Links whose circuit breaker is currently open; lets
-    /// link_degraded() answer "none" without any peer lock.  Mutated
-    /// only under the owning peer's lock.
-    std::atomic<std::size_t> open_breakers_{0};
     /// Links whose link_pressure is above ok / at critical — the
     /// lock-free fast path of flow_pressure()/current_pressure().
     /// Mutated only under the owning peer's lock.
@@ -704,16 +690,6 @@ private:
     std::atomic<std::size_t> unacked_total_{0};
     std::atomic<std::size_t> held_total_{0};
     std::atomic<std::size_t> acks_pending_{0};
-    /// Peers currently suspected / declared dead (gauges; mutated only
-    /// under the owning peer's lock).  Both also serve as lock-free
-    /// fast-path gates: link_degraded() and put_parcel's dead-peer check
-    /// skip the lock while they read zero.  A dead peer demoted to a
-    /// tombstone moves from dead_peers_ to tombstoned_dead_ — the
-    /// /net/health gauge reports only the live footprint, but the
-    /// put_parcel fail-fast gate checks the sum.
-    std::atomic<std::size_t> suspected_peers_{0};
-    std::atomic<std::size_t> dead_peers_{0};
-    std::atomic<std::size_t> tombstoned_dead_{0};
     /// This locality's incarnation epoch; starts at 1, bumped by
     /// restart_incarnation().
     std::atomic<std::uint32_t> self_epoch_{1};
@@ -721,6 +697,9 @@ private:
     delivery_error_handler on_delivery_error_;
 
     parcelhandler_counters counters_;
+    /// Every peer_health transition and the degraded/dead gauges that
+    /// gate link_degraded(), put_parcel and all_peers_live().
+    health_tracker health_{here_, counters_};
     // Messages popped from outbound_/inbox_ but still being processed.
     // Incremented before the pop so pending_sends()/pending_receives()
     // never transiently read zero while a message is in flight.

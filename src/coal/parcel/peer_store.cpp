@@ -72,10 +72,10 @@ peer_state& peer_store::hydrate(peer_entry& e, std::uint32_t self_epoch)
         st.next_seq = e.tomb.next_seq;
         st.cum_received = e.tomb.cum_received;
         st.stream_gen = e.tomb.stream_gen;
+        st.health = e.tomb.health;
         st.epoch = e.tomb.epoch;
         st.link_epoch =
             e.tomb.link_epoch != 0 ? e.tomb.link_epoch : self_epoch;
-        st.status = e.tomb.status;
         e.tombstoned = false;
         tombstoned_.fetch_sub(1, std::memory_order_relaxed);
         rehydrations_.fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +98,7 @@ void peer_store::demote(peer_entry& e)
     e.tomb.stream_gen = st.stream_gen;
     e.tomb.epoch = st.epoch;
     e.tomb.link_epoch = st.link_epoch;
-    e.tomb.status = st.status;
+    e.tomb.health = st.health;
     e.tombstoned = true;
     e.live.reset();
     active_.fetch_sub(1, std::memory_order_relaxed);

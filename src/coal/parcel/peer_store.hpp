@@ -40,10 +40,10 @@
 /// unacked/held frames, no deferred jobs, no pending ack, breaker
 /// closed) can be demoted to a compact `peer_tombstone` — the few fields
 /// that exactly-once delivery and epoch fencing must remember: the next
-/// send sequence, the cumulative receive sequence, the stream generation
-/// and both incarnation epochs.  Rehydration on next contact restores a
-/// full `peer_state` from the tombstone transparently; an idle peer
-/// costs tens of bytes instead of a full protocol block.
+/// send sequence, the cumulative receive sequence, the stream generation,
+/// both incarnation epochs and the dead verdict.  Rehydration on next
+/// contact restores a full `peer_state` from the tombstone transparently;
+/// an idle peer costs tens of bytes instead of a full protocol block.
 ///
 /// **Due-time ring.**  Per-peer deadlines (delayed acks, retransmit
 /// timeouts, heartbeats, dead-peer probes, deferred-send service) are
@@ -57,8 +57,8 @@
 #include <coal/common/cacheline.hpp>
 #include <coal/common/pressure.hpp>
 #include <coal/common/spinlock.hpp>
-#include <coal/parcel/membership.hpp>
 #include <coal/parcel/parcel.hpp>
+#include <coal/parcel/peer_health.hpp>
 
 #include <array>
 #include <atomic>
@@ -153,8 +153,6 @@ struct peer_state
     std::map<std::uint64_t, held_frame> held;    // out of order
     bool ack_pending = false;
     std::int64_t ack_deadline_ns = 0;
-    // Per-link circuit breaker.
-    bool breaker_open = false;
     // Flow control (sender side).
     std::uint64_t unacked_bytes = 0;    ///< wire bytes in `unacked`
     std::uint64_t credit_window = 0;    ///< latest grant from the peer
@@ -180,7 +178,9 @@ struct peer_state
     /// ghost) instead of the new epoch on a stale sequence number.
     /// Updated at hydration and by every fence.
     std::uint32_t link_epoch = 0;
-    peer_status status = peer_status::alive;
+    /// Liveness verdict plus degrade causes (breaker, suspicion); changed
+    /// only through the parcelhandler's health_tracker.
+    peer_health health;
     std::int64_t last_heard_ns = 0;    ///< last valid frame from the peer
     std::int64_t last_sent_ns = 0;     ///< last frame we emitted to it
     std::int64_t last_probe_ns = 0;    ///< last dead-peer rejoin probe
@@ -204,7 +204,8 @@ struct peer_tombstone
     std::uint64_t stream_gen = 0;
     std::uint32_t epoch = 0;         ///< peer incarnation (ghost fencing)
     std::uint32_t link_epoch = 0;    ///< our incarnation bound to the stream
-    peer_status status = peer_status::alive;
+    /// The dead verdict (tombstoned bit set); causes do not survive.
+    peer_health health;
 };
 
 /// One peer's slot: a spinlock, the full state (null while evicted), the
@@ -284,7 +285,7 @@ public:
     [[nodiscard]] static bool evictable(peer_state const& st) noexcept
     {
         return st.unacked.empty() && st.held.empty() &&
-            st.deferred.empty() && !st.ack_pending && !st.breaker_open &&
+            st.deferred.empty() && !st.ack_pending && !st.health.tripped() &&
             st.unacked_bytes == 0 && st.deferred_bytes == 0;
     }
 

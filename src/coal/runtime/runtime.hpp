@@ -35,7 +35,7 @@ struct runtime_config
     std::uint32_t num_localities = 2;
     unsigned workers_per_locality = 1;
 
-    /// Interconnect cost model (ignored when use_loopback).  With a
+    /// Interconnect cost model (sim transport only).  With a
     /// topology (num_nodes > 1) this prices the inter-node tier.
     net::cost_model network{};
 
@@ -52,14 +52,12 @@ struct runtime_config
     /// num_nodes <= 1.
     bool hierarchical_routing = false;
 
-    /// Zero-cost synchronous transport — timing-independent unit tests.
-    bool use_loopback = false;
-
-    /// Wire selection: "sim" (default; or loopback per use_loopback),
-    /// "tcp" or "uds" for the real socket parcelport.  The env var
-    /// COAL_TRANSPORT=tcp|uds overrides a default-"sim" config (ignored
-    /// for loopback runtimes and for very large locality counts), which
-    /// is how existing suites re-run over real sockets unmodified.
+    /// Wire selection: "sim" (default, modeled interconnect), "loopback"
+    /// (zero-cost synchronous transport for timing-independent unit
+    /// tests), or "tcp" / "uds" for the real socket parcelport.  The env
+    /// var COAL_TRANSPORT=tcp|uds overrides a "sim" config (never any
+    /// other, nor very large locality counts), which is how existing
+    /// suites re-run over real sockets unmodified.
     std::string transport = "sim";
 
     /// Refuse the COAL_TRANSPORT override: tests that assert simulated

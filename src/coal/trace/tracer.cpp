@@ -104,8 +104,8 @@ char const* to_string(event_kind kind) noexcept
         return "send-deferred";
     case event_kind::link_down:
         return "link-down";
-    case event_kind::peer_suspected:
-        return "peer-suspected";
+    case event_kind::peer_health:
+        return "peer-health";
     case event_kind::peer_failed:
         return "peer-failed";
     case event_kind::peer_rejoined:

@@ -44,7 +44,7 @@ enum class event_kind : std::uint8_t
     send_deferred,       ///< send deferred on an exhausted credit window (a=dest, b=deferred bytes after)
     link_down,           ///< sends failed on a capped dark link (a=dest, b=parcels failed)
     // Membership / failure detection (DESIGN.md "Failure model"):
-    peer_suspected,      ///< suspicion crossed suspect_phi (a=peer, b=phi x1000)
+    peer_health,         ///< peer health changed (a=peer, b=new peer_health bits)
     peer_failed,         ///< peer declared dead, state fenced (a=peer, b=parcels failed)
     peer_rejoined,       ///< peer came back under a new epoch (a=peer, b=new epoch)
 };

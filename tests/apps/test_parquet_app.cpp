@@ -17,7 +17,7 @@ runtime_config loopback(std::uint32_t localities = 4)
 {
     runtime_config cfg;
     cfg.num_localities = localities;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }

@@ -22,7 +22,7 @@ runtime_config loopback(std::uint32_t n)
 {
     runtime_config cfg;
     cfg.num_localities = n;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }

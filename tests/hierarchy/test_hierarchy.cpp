@@ -77,7 +77,7 @@ coal::runtime_config hier_config()
     cfg.num_nodes = hier_nodes;
     cfg.hierarchical_routing = true;
     cfg.workers_per_locality = 1;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     cfg.idle_sleep_us = 50;
     cfg.reliability.enabled = true;

@@ -47,10 +47,13 @@ using coal::net::faulty_transport;
 using coal::net::loopback_transport;
 using coal::parcel::delivery_error;
 using coal::parcel::due_ring;
+using coal::parcel::health_counters;
+using coal::parcel::health_tracker;
 using coal::parcel::membership_params;
 using coal::parcel::parcel;
 using coal::parcel::parcelhandler;
 using coal::parcel::peer_entry;
+using coal::parcel::peer_health;
 using coal::parcel::peer_state;
 using coal::parcel::peer_status;
 using coal::parcel::peer_store;
@@ -212,7 +215,6 @@ TEST(PeerStore, TombstoneRoundTripPreservesStreamState)
         st.stream_gen = 3;
         st.epoch = 9;
         st.link_epoch = 2;
-        st.status = peer_status::alive;
     }
     EXPECT_EQ(store.active(), 1u);
     EXPECT_EQ(store.tombstoned(), 0u);
@@ -276,9 +278,11 @@ TEST(PeerStore, EvictableRejectsAnyRetainedProtocolState)
     st.ack_pending = true;
     EXPECT_FALSE(peer_store::evictable(st));
     st.ack_pending = false;
-    st.breaker_open = true;
+    health_counters counters;
+    health_tracker health(0, counters);
+    health.raise(st.health, 1, peer_health::retransmit_backlog);
     EXPECT_FALSE(peer_store::evictable(st));
-    st.breaker_open = false;
+    health.clear(st.health, 1, peer_health::breaker);
     st.unacked_bytes = 1;
     EXPECT_FALSE(peer_store::evictable(st));
     st.unacked_bytes = 0;

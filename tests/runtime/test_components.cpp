@@ -72,7 +72,7 @@ runtime_config loopback(std::uint32_t n = 2)
 {
     runtime_config cfg;
     cfg.num_localities = n;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }

@@ -168,7 +168,7 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
         reset_order_state();
         runtime_config cfg;
         cfg.num_localities = 2;
-        cfg.use_loopback = true;
+        cfg.transport = "loopback";
         cfg.apply_coalescing_defaults = false;
         runtime rt(cfg);
         rt.enable_coalescing("lossy_record_action", {16, 5000});
@@ -182,7 +182,7 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
     reset_order_state();
     runtime_config cfg;
     cfg.num_localities = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     coal::net::blackout_window w;
     w.src = 0;

@@ -52,7 +52,7 @@ runtime_config loopback(std::uint32_t n, unsigned workers = 1)
     runtime_config cfg;
     cfg.num_localities = n;
     cfg.workers_per_locality = workers;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }
