@@ -1,7 +1,8 @@
 /// \file counters_tour.cpp
 /// Tour of the performance-counter framework: discovery, HPX-style full
 /// names with {instance} and @parameters, scalar and histogram counters,
-/// and reset-on-read for per-phase measurements.
+/// and reset-on-read for per-phase measurements.  Reads every registered
+/// counter and exits non-zero if one is invalid (it runs as a ctest).
 ///
 ///     ./build/examples/counters_tour
 
@@ -10,7 +11,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 int main()
 {
@@ -49,93 +49,42 @@ int main()
     std::string const action = coal::apps::toy_action_name();
     auto& counters = rt.counters();
 
-    std::printf("\nfull-name queries:\n");
-    for (std::string const& name : std::vector<std::string>{
-             "/threads{locality#0}/count/cumulative",
-             "/threads{locality#1}/count/cumulative",
-             "/threads/count/cumulative",
-             "/threads/background-work",
-             "/threads/background-overhead",
-             "/threads/time/average-overhead",
-             "/threads/receive-pipeline/frames-per-drain",
-             "/threads/receive-pipeline/chunk-occupancy",
-             "/threads/receive-pipeline/time/offloaded-decode",
-             "/parcels/count/sent",
-             "/messages/count/sent",
-             "/data/count/sent",
-             "/coalescing{locality#0}/count/parcels@" + action,
-             "/coalescing/count/average-parcels-per-message@" + action,
-             "/coalescing/time/average-parcel-arrival@" + action,
-             "/timers/count/fired",
-             "/timers/time/average-lateness",
-             "/coal/pool/count/hits",
-             "/coal/pool/count/misses",
-             "/coal/pool/count/heap-fallbacks",
-             "/coal/pool/count/flattens",
-             "/coal/pool/count/outstanding",
-             "/coal/pool/count/fallback-cap-hits",
-             "/coal/pool/data/copied",
-             "/coal/pool/data/referenced",
-             "/coal/pool/resident-bytes",
-             "/coal/pool/resident-bytes-peak",
-             "/coal/pool/fallback-bytes",
-             "/coal/pool/fallback-bytes-peak",
-             "/net/flow/count/shed",
-             "/net/flow/count/deferrals",
-             "/net/flow/count/releases",
-             "/net/flow/count/credit-updates",
-             "/net/flow/count/link-down",
-             "/net/flow/count/pressure-transitions",
-             "/net/flow/count/starvation-trips",
-             "/net/flow/pressure",
-             "/net/health/count/heartbeats",
-             "/net/health/count/suspected",
-             "/net/health/count/deaths",
-             "/net/health/count/rejoins",
-             "/net/health/count/stale-epoch-frames",
-             "/net/health/count/refutes",
-             "/net/health/count/confirmed-parcels",
-             "/net/health/known-peers",
-             "/net/health/suspected-peers",
-             "/net/health/dead-peers",
-             "/net/count/delivery-errors/shed-overload",
-             "/net/count/delivery-errors/link-down",
-             "/net/count/delivery-errors/peer-failed",
-             "/net/wire/count/bytes-sent",
-             "/net/wire/count/bytes-received",
-             "/net/wire/count/frames-sent",
-             "/net/wire/count/frames-received",
-             "/net/wire/count/connects",
-             "/net/wire/count/accepts",
-             "/net/wire/count/reconnects",
-             "/net/wire/count/partial-write-resumptions",
-             "/net/wire/count/partial-read-resumptions",
-             "/net/wire/count/crc-drops",
-             "/net/wire/count/desync-drops",
-             "/net/wire/count/oversized-drops",
-             "/net/wire/count/truncated-drops",
-             "/net/wire/count/connect-failures",
-             "/net/wire/count/accept-failures",
-             "/net/wire/count/handshake-failures",
-             "/net/wire/count/backlog-drops",
-         })
+    // Every registered type, read once.  The /coalescing/* family is per
+    // action, so those take the toy app's action as their @parameter.
+    std::printf("\nevery counter, aggregated over localities:\n");
+    int invalid = 0;
+    for (auto const& [path, description] : counters.discover())
     {
+        std::string const name =
+            path.starts_with("/coalescing/") ? path + "@" + action : path;
         auto const v = counters.query(name);
-        std::printf("  %-64s = %.3f%s\n", name.c_str(), v.value,
-            v.valid ? "" : "  (INVALID)");
+        invalid += v.valid ? 0 : 1;
+        if (!v.is_array())
+        {
+            std::printf("  %-64s = %.3f%s\n", name.c_str(), v.value,
+                v.valid ? "" : "  (INVALID)");
+            continue;
+        }
+        // The arrival histogram is an array counter in HPX's wire layout.
+        std::printf("  %s:\n    min=%lld us, max=%lld us, width=%lld us, "
+                    "counts: ",
+            name.c_str(), static_cast<long long>(v.values[0]),
+            static_cast<long long>(v.values[1]),
+            static_cast<long long>(v.values[2]));
+        for (std::size_t i = 3; i < v.values.size(); ++i)
+            std::printf("%lld ", static_cast<long long>(v.values[i]));
+        std::printf("\n");
     }
 
-    // The arrival histogram is an array counter in HPX's wire layout.
-    auto const histogram = counters.query(
-        "/coalescing/time/parcel-arrival-histogram@" + action);
-    std::printf("\narrival histogram (min=%lld us, max=%lld us, "
-                "width=%lld us):\n  ",
-        static_cast<long long>(histogram.values[0]),
-        static_cast<long long>(histogram.values[1]),
-        static_cast<long long>(histogram.values[2]));
-    for (std::size_t i = 3; i < histogram.values.size(); ++i)
-        std::printf("%lld ", static_cast<long long>(histogram.values[i]));
-    std::printf("\n");
+    // An {instance} selects one locality instead of the aggregate.
+    std::printf("\nper-locality instances:\n");
+    for (int loc = 0; loc != 2; ++loc)
+    {
+        std::string const name = "/threads{locality#" + std::to_string(loc) +
+            "}/count/cumulative";
+        std::printf(
+            "  %-64s = %.3f\n", name.c_str(), counters.query(name).value);
+    }
 
     // Reset-on-read: second read reports only what happened in between.
     double const first =
@@ -144,5 +93,7 @@ int main()
     std::printf("\nreset-on-read: before=%.0f, after=%.0f\n", first, second);
 
     rt.stop();
-    return 0;
+    if (invalid != 0)
+        std::printf("\n%d counter(s) read INVALID\n", invalid);
+    return invalid == 0 ? 0 : 1;
 }

@@ -514,16 +514,7 @@ threading::scheduler_snapshot runtime::aggregate_snapshot() const
 {
     threading::scheduler_snapshot total;
     for (auto const& loc : localities_)
-    {
-        auto const s = loc->scheduler().snapshot();
-        total.tasks_executed += s.tasks_executed;
-        total.func_time_ns += s.func_time_ns;
-        total.exec_time_ns += s.exec_time_ns;
-        total.background_time_ns += s.background_time_ns;
-        total.background_calls += s.background_calls;
-        total.tasks_stolen += s.tasks_stolen;
-        total.idle_loops += s.idle_loops;
-    }
+        total += loc->scheduler().snapshot();
     return total;
 }
 

@@ -21,6 +21,22 @@ scheduler_snapshot scheduler_snapshot::since(
     return delta;
 }
 
+scheduler_snapshot& scheduler_snapshot::operator+=(
+    scheduler_snapshot const& other) noexcept
+{
+    tasks_executed += other.tasks_executed;
+    func_time_ns += other.func_time_ns;
+    exec_time_ns += other.exec_time_ns;
+    background_time_ns += other.background_time_ns;
+    background_calls += other.background_calls;
+    idle_poll_time_ns += other.idle_poll_time_ns;
+    tasks_stolen += other.tasks_stolen;
+    idle_loops += other.idle_loops;
+    bulk_posts += other.bulk_posts;
+    bulk_posted_tasks += other.bulk_posted_tasks;
+    return *this;
+}
+
 instrumentation::instrumentation(std::size_t workers)
   : counters_(workers)
 {

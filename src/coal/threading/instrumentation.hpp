@@ -93,6 +93,9 @@ struct scheduler_snapshot
     /// Difference of two snapshots — per-phase deltas for Fig. 9.
     [[nodiscard]] scheduler_snapshot since(
         scheduler_snapshot const& earlier) const noexcept;
+
+    /// Field-wise sum — aggregates snapshots across schedulers.
+    scheduler_snapshot& operator+=(scheduler_snapshot const& other) noexcept;
 };
 
 /// Owns the per-worker counter blocks plus an external-contribution slot.

@@ -269,8 +269,10 @@ TEST(FlowControl, CriticalPoolPressureShedsBestEffortOnly)
     EXPECT_EQ(h.ph0.counters().parcels_shed.load(), static_cast<unsigned>(n));
     EXPECT_EQ(h.shed_seen.load(), static_cast<unsigned>(n));
 
-    // Pressure subsides: admission reopens, traffic flows again.
+    // Pressure subsides: admission reopens, traffic flows again.  The
+    // admitted exchange's slabs stay resident until it is fully acked.
     hog.clear();
+    h.settle();
     ASSERT_EQ(buffer_pool::global().pressure(), pressure_state::ok);
     for (int i = 0; i != n; ++i)
         h.ph0.put_parcel(make_request(1, 2));

@@ -341,6 +341,7 @@ TEST(Membership, GhostFramesFromDeadIncarnationNeverExecute)
     h.put(h.ph0, 1, 1);
     h.wait_for([&] { return h.ph1.debug_peer(0).epoch == 2; },
         "peer adopts epoch 2");
+    h.wait_for([&] { return g_mem_sum.load() == 2; }, "second delivery");
 
     // Forge a frame from the dead incarnation: src_epoch 1, correctly
     // addressed (dst_epoch matches), fresh sequence number.  It must be

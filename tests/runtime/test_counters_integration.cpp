@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -534,6 +537,136 @@ TEST(CountersIntegration, ArrivalStatsAggregateExactlyAcrossStripes)
             0.0);
     }
     rt.stop();
+}
+
+// The aggregate instance sums the per-locality ones field by field,
+// idle-poll time included.  Read after stop() so the schedulers are frozen
+// and the three reads agree exactly.
+TEST(CountersIntegration, IdlePollsAggregateSumsLocalities)
+{
+    runtime rt(loopback());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    rt.stop();
+
+    auto& c = rt.counters();
+    double const l0 = c.query("/threads{locality#0}/time/idle-polls").value;
+    double const l1 = c.query("/threads{locality#1}/time/idle-polls").value;
+    double const total = c.query("/threads/time/idle-polls").value;
+    EXPECT_GT(total, 0.0);
+    EXPECT_DOUBLE_EQ(total, l0 + l1);
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(rt.aggregate_snapshot().idle_poll_time_ns), total);
+}
+
+// Idle-eviction churn counts are monotonic, so reading them with reset
+// re-zeroes them like every other count.
+TEST(CountersIntegration, PeerChurnCountersResetOnRead)
+{
+    runtime_config cfg = loopback();
+    cfg.reliability.enabled = true;    // the peer store lives in it
+    cfg.store.evict_idle_us = 20'000;
+    cfg.store.evict_scan_interval_us = 200;
+    runtime rt(cfg);
+    auto& c = rt.counters();
+
+    // Until every hydrated peer is a tombstone nothing is left to evict.
+    auto wait_all_evicted = [&] {
+        auto const deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (c.query("/net/peers/active").value != 0.0 &&
+            std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(c.query("/net/peers/active").value, 0.0);
+    };
+
+    round_trips(rt, 10);
+    rt.quiesce();
+    wait_all_evicted();
+    EXPECT_GT(c.query("/net/peers/count/evictions", true).value, 0.0);
+    EXPECT_DOUBLE_EQ(c.query("/net/peers/count/evictions").value, 0.0);
+
+    round_trips(rt, 10);    // renewed contact restores the tombstones
+    rt.quiesce();
+    wait_all_evicted();
+    EXPECT_GT(c.query("/net/peers/count/rehydrations", true).value, 0.0);
+    EXPECT_DOUBLE_EQ(c.query("/net/peers/count/rehydrations").value, 0.0);
+    rt.stop();
+}
+
+// Every path a shell-style `{a,b}` group in `text` expands to.
+std::vector<std::string> brace_expand(std::string const& text)
+{
+    auto const open = text.find('{');
+    auto const close = text.find('}', open);
+    if (close == std::string::npos)
+        return {text};
+    std::vector<std::string> out;
+    std::string const alternatives = text.substr(open + 1, close - open - 1);
+    std::size_t begin = 0;
+    while (begin <= alternatives.size())
+    {
+        auto end = alternatives.find(',', begin);
+        if (end == std::string::npos)
+            end = alternatives.size();
+        for (auto& tail : brace_expand(text.substr(close + 1)))
+            out.push_back(text.substr(0, open) +
+                alternatives.substr(begin, end - begin) + tail);
+        begin = end + 1;
+    }
+    return out;
+}
+
+// The README counter table is the catalogue users read: it must name
+// exactly the registered counter types, no more and no fewer.
+TEST(CountersIntegration, ReadmeListsEveryCounter)
+{
+    std::ifstream readme(COAL_SOURCE_DIR "/README.md");
+    ASSERT_TRUE(readme) << "cannot open " COAL_SOURCE_DIR "/README.md";
+
+    // Backticked paths in the first column of the table that follows the
+    // "## Performance counters" heading; `@parameters` are not part of a
+    // type path.
+    std::set<std::string> documented;
+    bool in_section = false;
+    bool in_table = false;
+    for (std::string line; std::getline(readme, line);)
+    {
+        if (line.starts_with("## "))
+            in_section = line == "## Performance counters";
+        if (!in_section)
+            continue;
+        if (!line.starts_with("|"))
+        {
+            if (in_table)
+                break;
+            continue;
+        }
+        in_table = true;
+        std::string const first = line.substr(1, line.find('|', 1) - 1);
+        for (auto tick = first.find('`'); tick != std::string::npos;
+             tick = first.find('`', tick + 1))
+        {
+            auto const end = first.find('`', tick + 1);
+            if (end == std::string::npos)
+                break;
+            std::string path = first.substr(tick + 1, end - tick - 1);
+            path = path.substr(0, path.find('@'));
+            for (auto& expanded : brace_expand(path))
+                documented.insert(expanded);
+            tick = end;
+        }
+    }
+
+    runtime rt(loopback());
+    std::set<std::string> registered;
+    for (auto const& [path, description] : rt.counters().discover())
+        registered.insert(path);
+    rt.stop();
+
+    for (auto const& path : registered)
+        EXPECT_TRUE(documented.contains(path)) << path << " not in README";
+    for (auto const& path : documented)
+        EXPECT_TRUE(registered.contains(path)) << path << " not registered";
 }
 
 }    // namespace
