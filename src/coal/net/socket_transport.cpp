@@ -5,7 +5,9 @@
 #include <coal/common/stopwatch.hpp>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -19,6 +21,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -47,6 +50,16 @@ struct barrier_payload
 };
 
 constexpr std::uint32_t control_locality = 0xffffffffu;
+
+/// One gathered write covers at most this many iovecs (two per frame)
+/// and stops adding frames past this many bytes; the kernel takes at
+/// most a socket buffer's worth anyway.
+constexpr std::size_t gather_max_iov = IOV_MAX < 1024 ? IOV_MAX : 1024;
+constexpr std::size_t gather_max_bytes = 1u << 20;
+
+/// Payload size from which a frame is worth a header-only read, so its
+/// payload is received in place instead of copied from the stack buffer.
+constexpr std::uint32_t in_place_min_payload = 16u << 10;
 
 void set_nonblock(int fd)
 {
@@ -159,6 +172,10 @@ struct socket_transport::connection
     std::size_t write_off = 0;
 
     std::unique_ptr<wire::frame_decoder> decoder;
+    /// Recent frame payload size, a running max decaying by a quarter
+    /// per frame: a link carrying large frames reads just the header at
+    /// a frame boundary so the payload lands in place (handle_readable).
+    std::uint32_t recent_payload = 0;
 
     std::int64_t backoff_us = 0;
     std::int64_t retry_at_ns = 0;
@@ -176,7 +193,7 @@ socket_transport::socket_transport(socket_params params,
   , nonce_(random_nonce())
   , registry_digest_(params_.registry_digest)
   , handlers_(num_localities)
-  , down_(num_localities, 0)
+  , down_(num_localities)
 {
     COAL_ASSERT(num_localities_ > 0);
     COAL_ASSERT(first_rank_ + local_count_ <= num_localities_);
@@ -353,6 +370,7 @@ socket_transport::socket_transport(socket_params params,
         COAL_ASSERT_MSG(false, "pipe2() failed");
 
     io_thread_ = std::thread([this] { io_loop(); });
+    io_thread_id_ = io_thread_.get_id();
 }
 
 socket_transport::~socket_transport()
@@ -389,12 +407,7 @@ void socket_transport::send(std::uint32_t src, std::uint32_t dst,
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
     bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
 
-    bool down;
-    {
-        std::lock_guard lock(mutex_);
-        down = down_[src] != 0 || down_[dst] != 0;
-    }
-    if (stopping_.load(std::memory_order_acquire) || down)
+    if (stopping_.load(std::memory_order_acquire) || is_down(src, dst))
     {
         messages_dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -442,13 +455,14 @@ void socket_transport::send(std::uint32_t src, std::uint32_t dst,
     h.payload_len = static_cast<std::uint32_t>(f.payload.size());
     h.payload_crc = payload_crc;
 
+    bool first;
     {
-        std::lock_guard lock(conn.qlock);
-        if (conn.q_bytes + f.total() > params_.max_backlog_bytes)
+        std::unique_lock lock(conn.qlock);
+        if (!wait_for_room(conn, lock, f.total(), src, dst))
         {
             // Outbound backlog cap: shed instead of buffering without
-            // bound while a peer is down.  The reliability layer holds
-            // its own copy and retransmits after the link heals.
+            // bound while a peer is unreachable.  The reliability layer
+            // holds its own copy and retransmits after the link heals.
             wire_backlog_drops_.fetch_add(1, std::memory_order_relaxed);
             messages_dropped_.fetch_add(1, std::memory_order_relaxed);
             return;
@@ -459,9 +473,14 @@ void socket_transport::send(std::uint32_t src, std::uint32_t dst,
             f.header[10] ^= 0x04;    // damages src — header CRC must catch
         conn.q_bytes += f.total();
         queued_frames_.fetch_add(1, std::memory_order_acq_rel);
+        first = conn.q.empty();
         conn.q.push_back(std::move(f));
     }
-    wake();
+    // Only the frame that makes the queue non-empty wakes the IO thread:
+    // while frames are queued it keeps writing (or polls for POLLOUT)
+    // on its own, and a wake-up per frame would interrupt it for nothing.
+    if (first)
+        wake();
 }
 
 void socket_transport::enqueue_control(std::uint32_t endpoint_index,
@@ -488,6 +507,51 @@ void socket_transport::enqueue_control(std::uint32_t endpoint_index,
         conn.q.push_back(std::move(f));
     }
     wake();
+}
+
+bool socket_transport::wait_for_room(connection& c,
+    std::unique_lock<std::mutex>& qlock, std::size_t bytes,
+    std::uint32_t src, std::uint32_t dst)
+{
+    std::uint64_t written = 0;
+    std::int64_t progress_ns = 0;
+    while (c.q_bytes + bytes > params_.max_backlog_bytes)
+    {
+        // Only a sender that may block waits: not the IO thread (it is
+        // the one that drains), and only toward a live link.  idle and
+        // connecting count as live — the IO thread is about to connect,
+        // and a failed attempt turns the link closed.  A frame larger
+        // than the whole cap never fits.
+        if (c.q_bytes == 0 || std::this_thread::get_id() == io_thread_id_ ||
+            c.st.load(std::memory_order_acquire) ==
+                connection::state::closed ||
+            stopping_.load(std::memory_order_acquire) || is_down(src, dst))
+            return false;
+
+        // A link that wrote nothing for drain_timeout_ms is stuck.
+        std::uint64_t const now_written =
+            wire_frames_sent_.load(std::memory_order_relaxed);
+        std::int64_t const now = now_ns();
+        if (progress_ns == 0 || now_written != written)
+        {
+            written = now_written;
+            progress_ns = now;
+        }
+        else if (now - progress_ns > params_.drain_timeout_ms * 1'000'000)
+            return false;
+
+        // Registering as a waiter before qlock is released makes the IO
+        // thread's notify reach this wait (see handle_writable).
+        backlog_waiters_.fetch_add(1, std::memory_order_seq_cst);
+        {
+            std::unique_lock drain_lock(drain_mutex_);
+            qlock.unlock();
+            drain_cv_.wait_for(drain_lock, std::chrono::milliseconds(1));
+        }
+        backlog_waiters_.fetch_sub(1, std::memory_order_relaxed);
+        qlock.lock();
+    }
+    return true;
 }
 
 void socket_transport::drop_frame_accounting(out_frame const& f)
@@ -723,66 +787,102 @@ void socket_transport::handle_writable(connection& c)
         wire_frames_sent_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    // Gather as many queued frames as one sendmsg() takes.  Only the IO
+    // thread pops or restructures the queue, so the frames gathered stay
+    // put while the lock is released; senders only push_back, which
+    // leaves references to existing deque elements valid.  A frame
+    // counts as a partial-write resumption when it completes in a later
+    // call than the one that started it, i.e. it is the front frame,
+    // already begun, when this call starts.
+    bool resumed = c.write_off != 0;
+    bool retired = false;
+    std::array<::iovec, gather_max_iov> iov;
     for (;;)
     {
-        out_frame* f = nullptr;
+        std::size_t niov = 0;
+        std::size_t offered = 0;
+        auto gather = [&](void const* base, std::size_t len) {
+            iov[niov++] = {const_cast<void*>(base), len};
+            offered += len;
+        };
         {
             std::lock_guard lock(c.qlock);
-            if (c.q.empty())
-                return;
-            f = &c.q.front();
+            std::size_t skip = c.write_off;    // front frame only
+            for (auto const& f : c.q)
+            {
+                if (niov + 2 > iov.size() || offered >= gather_max_bytes)
+                    break;
+                if (skip < wire::header_size)
+                    gather(f.header + skip, wire::header_size - skip);
+                std::size_t const payload_skip =
+                    skip > wire::header_size ? skip - wire::header_size : 0;
+                if (payload_skip < f.payload.size())
+                    gather(f.payload.data() + payload_skip,
+                        f.payload.size() - payload_skip);
+                skip = 0;
+            }
         }
-        // Safe to touch *f without the lock: only the IO thread pops or
-        // mutates the front entry; senders only push_back.  (purge_queue
-        // never removes a partially-written front either.)
+        if (niov == 0)
+            break;
 
-        bool const resumed = c.write_off != 0;
-        std::size_t const total = f->total();
-        while (c.write_off < total)
+        ::msghdr msg{};
+        msg.msg_iov = iov.data();
+        msg.msg_iovlen = niov;
+        auto const n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
+        if (n < 0)
         {
-            std::uint8_t const* base;
-            std::size_t chunk;
-            if (c.write_off < wire::header_size)
-            {
-                base = f->header + c.write_off;
-                chunk = wire::header_size - c.write_off;
-            }
-            else
-            {
-                std::size_t const off = c.write_off - wire::header_size;
-                base = f->payload.data() + off;
-                chunk = f->payload.size() - off;
-            }
-            auto const n = ::send(c.fd, base, chunk, MSG_NOSIGNAL);
-            if (n < 0)
-            {
-                if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-                    return;
+            if (errno == EINTR)
+                continue;
+            if (errno != EAGAIN && errno != EWOULDBLOCK)
                 close_connection(c, true);
-                return;
-            }
-            c.write_off += static_cast<std::size_t>(n);
-            wire_bytes_sent_.fetch_add(
-                static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+            break;
         }
-        if (resumed)
-            wire_partial_writes_.fetch_add(1, std::memory_order_relaxed);
+        wire_bytes_sent_.fetch_add(
+            static_cast<std::uint64_t>(n), std::memory_order_relaxed);
 
-        // Frame fully on the wire: custody passes to the kernel (remote
-        // destinations) or to the loopback-transit gauge (local ones,
-        // released again at delivery).
-        wire_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (f->is_data)
+        // Retire every frame the write completed: custody passes to the
+        // kernel (remote destinations) or to the loopback-transit gauge
+        // (local ones, released again at delivery).
+        std::size_t left = static_cast<std::size_t>(n);
+        std::lock_guard lock(c.qlock);
+        while (left != 0)
         {
-            queued_frames_.fetch_sub(1, std::memory_order_acq_rel);
-            if (f->local_dst)
-                loopback_transit_.fetch_add(1, std::memory_order_acq_rel);
-        }
-        {
-            std::lock_guard lock(c.qlock);
-            c.q_bytes -= total;
+            out_frame const& f = c.q.front();
+            std::size_t const rest = f.total() - c.write_off;
+            if (left < rest)
+            {
+                c.write_off += left;
+                break;
+            }
+            left -= rest;
+            if (resumed)
+                wire_partial_writes_.fetch_add(1, std::memory_order_relaxed);
+            resumed = false;
+            wire_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+            if (f.is_data)
+            {
+                queued_frames_.fetch_sub(1, std::memory_order_acq_rel);
+                if (f.local_dst)
+                    loopback_transit_.fetch_add(1, std::memory_order_acq_rel);
+            }
+            c.q_bytes -= f.total();
             c.q.pop_front();
             c.write_off = 0;
+            retired = true;
+        }
+        // A short write means the socket buffer is full: wait for POLLOUT
+        // instead of spending a syscall on EAGAIN.
+        if (static_cast<std::size_t>(n) < offered)
+            break;
+    }
+
+    if (retired)
+    {
+        if (backlog_waiters_.load(std::memory_order_seq_cst) != 0)
+        {
+            // A back-pressured sender registered before releasing qlock;
+            // taking drain_mutex_ orders this notify after its wait.
+            std::lock_guard lock(drain_mutex_);
         }
         drain_cv_.notify_all();
     }
@@ -798,12 +898,26 @@ void socket_transport::handle_readable(connection& c)
     std::uint8_t buf[64 * 1024];
     for (;;)
     {
-        auto const n = ::recv(c.fd, buf, sizeof buf, 0);
+        // A validated header's payload is received in place, into the
+        // frame's slab.  At a frame boundary the read goes through the
+        // stack buffer and feed(): a whole buffer when frames are small
+        // (many frames per recv), or just the header when they are large,
+        // so the payload behind it is not copied twice.
+        auto const window = c.decoder->payload_window();
+        std::size_t want = sizeof buf;
+        if (!window.empty())
+            want = window.size();
+        else if (c.recent_payload >= in_place_min_payload)
+            want = wire::header_size - c.decoder->buffered_bytes();
+        auto const n = ::recv(
+            c.fd, window.empty() ? buf : window.data(), want, 0);
         if (n > 0)
         {
             wire_bytes_received_.fetch_add(
                 static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-            if (!c.decoder->feed(buf, static_cast<std::size_t>(n)))
+            if (!window.empty())
+                c.decoder->commit(static_cast<std::size_t>(n));
+            else if (!c.decoder->feed(buf, static_cast<std::size_t>(n)))
             {
                 // Fatal decode error: the stream is unsynchronized.  Cut
                 // the connection; reconnect gives both sides a clean one.
@@ -869,6 +983,8 @@ void socket_transport::on_frame(connection& c, wire::frame_header const& h,
         return;
 
     wire_frames_received_.fetch_add(1, std::memory_order_relaxed);
+    c.recent_payload =
+        std::max(h.payload_len, c.recent_payload - c.recent_payload / 4);
 
     switch (static_cast<wire::frame_kind>(h.kind))
     {
@@ -973,14 +1089,13 @@ void socket_transport::deliver_data(connection& c,
     if (c.self_loop && release_loopback_slot())
         drain_cv_.notify_all();
 
+    bool const down = h.src >= num_localities_ ||
+        h.dst >= num_localities_ || is_down(h.src, h.dst);
     delivery_handler handler;
-    bool down;
+    if (!down)
     {
         std::lock_guard lock(mutex_);
-        down = h.src >= num_localities_ || h.dst >= num_localities_ ||
-            down_[h.src] != 0 || down_[h.dst] != 0;
-        if (!down && h.dst < num_localities_)
-            handler = handlers_[h.dst];
+        handler = handlers_[h.dst];
     }
 
     if (down || !handler || stopping_.load(std::memory_order_acquire))
@@ -1368,18 +1483,16 @@ bool socket_transport::set_locality_down(std::uint32_t locality, bool down)
 {
     if (locality >= num_localities_)
         return false;
+    down_[locality].store(down, std::memory_order_release);
+    if (down)
     {
+        // Outbound frames already queued toward (or from) the dead
+        // locality vanish, mirroring sim_network's wire-heap purge; the
+        // IO thread (sole owner of queue structure) does the purge.
+        // Kernel-buffered frames are caught by the delivery-side down
+        // check.
         std::lock_guard lock(mutex_);
-        down_[locality] = down ? 1 : 0;
-        if (down)
-        {
-            // Outbound frames already queued toward (or from) the dead
-            // locality vanish, mirroring sim_network's wire-heap purge;
-            // the IO thread (sole owner of queue structure) does the
-            // purge.  Kernel-buffered frames are caught by the
-            // delivery-side down check.
-            pending_purges_.push_back(locality);
-        }
+        pending_purges_.push_back(locality);
     }
     wake();
     return true;

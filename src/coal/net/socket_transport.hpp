@@ -39,8 +39,11 @@
 ///
 /// Thread model: one IO thread owns every fd (poll-based, non-blocking);
 /// sender threads only append to per-connection outbound queues and wake
-/// the IO thread through a self-pipe.  Delivery handlers run on the IO
-/// thread and must be cheap (the parcel layer just inbox-pushes).
+/// the IO thread through a self-pipe.  The IO thread writes every queued
+/// frame it can in one gathered sendmsg() per writable event, and
+/// receives a validated frame's payload straight into its slab.
+/// Delivery handlers run on the IO thread and must be cheap (the parcel
+/// layer just inbox-pushes).
 
 #include <coal/net/transport.hpp>
 #include <coal/net/wire_format.hpp>
@@ -93,8 +96,14 @@ struct socket_params
     /// as stream corruption (decoder never allocates past this).
     std::size_t max_frame_bytes = 16u << 20;
 
-    /// Per-connection outbound backlog cap; frames beyond it are dropped
-    /// (counted) and recovered by the reliability layer.
+    /// Per-connection outbound backlog cap.  On a live connection (open,
+    /// or about to connect) a sender that would pass it waits for the IO
+    /// thread to drain room (back-pressure), unless it runs on the IO
+    /// thread itself (a delivery handler re-entering send() must never
+    /// block) or the link wrote nothing for `drain_timeout_ms`.  Those
+    /// senders, and any sender toward a lost connection (closed, waiting
+    /// out its reconnect backoff), shed the frame instead (counted in
+    /// `backlog_drops`); the reliability layer retransmits it.
     std::size_t max_backlog_bytes = 64u << 20;
 
     /// Reconnect backoff: initial delay, doubled per failure up to the
@@ -276,6 +285,17 @@ private:
         serialization::shared_buffer&& payload);
     void barrier_note_entered(std::uint32_t process, std::uint64_t gen);
     void barrier_maybe_release();
+    /// Back-pressure at the backlog cap; called with c.qlock held (via
+    /// `qlock`).  Returns false when the frame must be shed instead.
+    [[nodiscard]] bool wait_for_room(connection& c,
+        std::unique_lock<std::mutex>& qlock, std::size_t bytes,
+        std::uint32_t src, std::uint32_t dst);
+    [[nodiscard]] bool is_down(
+        std::uint32_t src, std::uint32_t dst) const noexcept
+    {
+        return down_[src].load(std::memory_order_acquire) ||
+            down_[dst].load(std::memory_order_acquire);
+    }
     void purge_queue(connection& c, std::uint32_t locality_filter);
     void drop_frame_accounting(out_frame const& f);
     bool release_loopback_slot() noexcept;
@@ -302,9 +322,10 @@ private:
     std::vector<std::unique_ptr<connection>> out_conns_;
     std::vector<std::unique_ptr<connection>> in_conns_;
 
-    mutable std::mutex mutex_;    ///< handlers, down set, barrier state
+    mutable std::mutex mutex_;    ///< handlers, barrier state
     std::vector<delivery_handler> handlers_;
-    std::vector<char> down_;
+    /// Chaos down set, read lock-free on every send and delivery.
+    std::vector<std::atomic<bool>> down_;
 
     // Barrier state (guarded by mutex_): generation counters per peer
     // process plus our own; coordinator releases when all arrived.
@@ -315,6 +336,7 @@ private:
 
     int wake_pipe_[2] = {-1, -1};
     std::thread io_thread_;
+    std::thread::id io_thread_id_;    ///< set once, before any send()
     std::atomic<bool> stopping_{false};     ///< reject new sends
     std::atomic<bool> io_stop_{false};      ///< terminate the IO loop
     std::atomic<bool> ready_failed_{false};    ///< handshake hard-failed
@@ -364,8 +386,13 @@ private:
     std::atomic<std::uint64_t> wire_handshake_failures_{0};
     std::atomic<std::uint64_t> wire_backlog_drops_{0};
 
+    /// Signalled when the IO thread retires written frames.  Waiters:
+    /// drain(), and senders back-pressured at the backlog cap
+    /// (backlog_waiters_ counts the latter, so the IO thread takes
+    /// drain_mutex_ to notify only when one is blocked).
     std::mutex drain_mutex_;
     std::condition_variable drain_cv_;
+    std::atomic<std::uint32_t> backlog_waiters_{0};
 };
 
 }    // namespace coal::net

@@ -3,6 +3,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace coal::net::wire {
 
 namespace {
@@ -55,7 +59,9 @@ void put_u32(std::uint8_t* p, std::uint32_t v) noexcept
 
 }    // namespace
 
-std::uint32_t crc32c(
+namespace detail {
+
+std::uint32_t crc32c_sw(
     void const* data, std::size_t size, std::uint32_t seed) noexcept
 {
     auto const* p = static_cast<std::uint8_t const*>(data);
@@ -63,6 +69,62 @@ std::uint32_t crc32c(
     for (std::size_t i = 0; i != size; ++i)
         c = g_crc.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
     return ~c;
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
+    void const* data, std::size_t size, std::uint32_t seed) noexcept
+{
+    auto const* p = static_cast<std::uint8_t const*>(data);
+    std::uint64_t c = ~seed;
+    // Bytes up to an 8-byte boundary, then one instruction per word.
+    for (; size != 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0;
+         ++p, --size)
+        c = _mm_crc32_u8(static_cast<std::uint32_t>(c), *p);
+    for (; size >= 8; p += 8, size -= 8)
+    {
+        std::uint64_t word;
+        std::memcpy(&word, p, sizeof word);
+        c = _mm_crc32_u64(c, word);
+    }
+    for (; size != 0; ++p, --size)
+        c = _mm_crc32_u8(static_cast<std::uint32_t>(c), *p);
+    return ~static_cast<std::uint32_t>(c);
+}
+
+bool crc32c_hw_available() noexcept
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2");
+}
+
+#else
+
+std::uint32_t crc32c_hw(
+    void const* data, std::size_t size, std::uint32_t seed) noexcept
+{
+    return crc32c_sw(data, size, seed);
+}
+
+bool crc32c_hw_available() noexcept
+{
+    return false;
+}
+
+#endif
+
+}    // namespace detail
+
+std::uint32_t crc32c(
+    void const* data, std::size_t size, std::uint32_t seed) noexcept
+{
+    using crc_fn = std::uint32_t (*)(
+        void const*, std::size_t, std::uint32_t) noexcept;
+    static crc_fn const fn = detail::crc32c_hw_available() ?
+        &detail::crc32c_hw :
+        &detail::crc32c_sw;
+    return fn(data, size, seed);
 }
 
 void encode_header(frame_header const& h, std::uint8_t* out) noexcept
@@ -179,34 +241,37 @@ bool frame_decoder::feed(void const* data, std::size_t size) noexcept
         std::size_t const want = current_.payload_len - have_;
         std::size_t const take = want < size ? want : size;
         if (take != 0)
-        {
             std::memcpy(payload_.mutable_data() + have_, p, take);
-            have_ += take;
-            p += take;
-            size -= take;
-        }
-        if (have_ != current_.payload_len)
-            break;
-
-        // Frame complete: verify the payload CRC before delivery.
-        if (crc32c(payload_.data(), payload_.size()) != current_.payload_crc)
-        {
-            ++stats_.crc_drops;
-            if (on_error_)
-                on_error_(decode_error::bad_payload_crc);
-        }
-        else
-        {
-            ++stats_.frames;
-            stats_.bytes += header_size + current_.payload_len;
-            if (on_frame_)
-                on_frame_(current_, std::move(payload_));
-        }
-        payload_ = serialization::shared_buffer{};
-        in_payload_ = false;
-        have_ = 0;
+        p += take;
+        size -= take;
+        commit(take);
     }
     return true;
+}
+
+void frame_decoder::commit(std::size_t n) noexcept
+{
+    have_ += n;
+    if (have_ != current_.payload_len)
+        return;
+
+    // Frame complete: verify the payload CRC before delivery.
+    if (crc32c(payload_.data(), payload_.size()) != current_.payload_crc)
+    {
+        ++stats_.crc_drops;
+        if (on_error_)
+            on_error_(decode_error::bad_payload_crc);
+    }
+    else
+    {
+        ++stats_.frames;
+        stats_.bytes += header_size + current_.payload_len;
+        if (on_frame_)
+            on_frame_(current_, std::move(payload_));
+    }
+    payload_ = serialization::shared_buffer{};
+    in_payload_ = false;
+    have_ = 0;
 }
 
 void frame_decoder::finish() noexcept

@@ -304,10 +304,7 @@ peer_state& parcelhandler::hydrate_locked(peer_entry& e)
         store_.hydrate(e, self_epoch_.load(std::memory_order_relaxed));
     std::int64_t const now = now_ns();
     if (was_tomb)
-    {
-        counters_.peers_rehydrated.fetch_add(1, std::memory_order_relaxed);
         health_.clear(peer.health, e.id, peer_health::tombstoned);
-    }
     // Hydration is contact: restart the idle clock, and hand the entry to
     // the due ring so liveness/heartbeat service resumes (entry -> ring
     // bucket is within the lock order).  The first service is due NOW,
@@ -345,7 +342,6 @@ bool parcelhandler::try_evict_locked(
         peer.health.dead() ? peer_health::dead_bit | peer_health::tombstoned :
                              0);
     store_.demote(e);
-    counters_.peers_evicted.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 

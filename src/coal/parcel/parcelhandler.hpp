@@ -113,9 +113,6 @@ struct parcelhandler_counters : health_counters
     /// refuted by adopting the higher epoch — a virtual restart.
     std::atomic<std::uint64_t> epoch_refutes{0};
     std::atomic<std::uint64_t> peer_failed_failures{0};    ///< parcels failed as peer_failed
-    // Sharded peer store (/net/peers/*; zero while reliability is off):
-    std::atomic<std::uint64_t> peers_evicted{0};    ///< idle demotions to tombstones
-    std::atomic<std::uint64_t> peers_rehydrated{0};    ///< tombstones restored on contact
     /// Parcels whose frame was acknowledged by the peer — the sender-side
     /// "confirmed delivered" half of the chaos-soak conservation law
     /// confirmed + failed + shed == offered.

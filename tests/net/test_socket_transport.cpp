@@ -343,6 +343,72 @@ TEST(SocketTransport, DownLocalityDropsAtSendAndConserves)
     net.shutdown();
 }
 
+TEST(SocketTransport, OpenLinkBackPressuresInsteadOfShedding)
+{
+    // A backlog cap far below the offered burst: a sender on an open,
+    // draining link must wait for room, not drop frames.
+    socket_params p = uds_params();
+    p.max_backlog_bytes = 256u << 10;
+    socket_transport net(p, 2);
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<int> frames{0};
+    std::atomic<int> damaged{0};
+    net.set_delivery_handler(1, [&](std::uint32_t, shared_buffer&& buf) {
+        if (buf.size() != 0 && buf.data()[buf.size() - 1] !=
+                static_cast<std::uint8_t>(buf.data()[0] + (buf.size() - 1) * 3))
+            ++damaged;
+        bytes += buf.size();
+        ++frames;
+    });
+
+    // Frames are built up front so the burst outruns the drain.
+    constexpr std::size_t frame_bytes = 64u << 10;
+    constexpr int count = (8u << 20) / frame_bytes;
+    std::vector<byte_buffer> frames_out;
+    for (int i = 0; i != count; ++i)
+        frames_out.push_back(
+            patterned(frame_bytes, static_cast<std::uint8_t>(i)));
+    std::thread sender([&] {
+        for (auto& frame : frames_out)
+            net.send(0, 1, std::move(frame));
+    });
+    sender.join();
+
+    ASSERT_TRUE(wait_for(
+        [&] {
+            auto const st = net.stats();
+            return st.messages_delivered + st.messages_dropped == count;
+        },
+        20000));
+    net.drain();
+    EXPECT_EQ(frames.load(), count);
+    EXPECT_EQ(bytes.load(), count * frame_bytes);
+    EXPECT_EQ(damaged.load(), 0);
+    EXPECT_EQ(net.wire_stats().backlog_drops, 0u);
+    EXPECT_EQ(net.stats().messages_dropped, 0u);
+    expect_conserved(net);
+    net.shutdown();
+}
+
+TEST(SocketTransport, BacklogShedsTowardUnreachablePeer)
+{
+    // No process listens on locality 1's endpoint: its link never opens,
+    // so the full backlog sheds (counted) instead of blocking the sender.
+    std::string const tag = std::to_string(::getpid());
+    socket_params p = uds_params();
+    p.endpoints = {"/tmp/coal-bp-a-" + tag + ".sock",
+        "/tmp/coal-bp-absent-" + tag + ".sock"};
+    p.max_backlog_bytes = 256u << 10;
+    socket_transport net(p, 2, 0, 1);
+
+    constexpr int count = 64;
+    for (int i = 0; i != count; ++i)
+        net.send(0, 1, patterned(64u << 10, 1));
+    EXPECT_GT(net.wire_stats().backlog_drops, 0u);
+    net.shutdown();
+    expect_conserved(net);
+}
+
 TEST(SocketTransport, FaultyTransportComposesOverRealWire)
 {
     // The chaos decorator must not care that the wrapped transport is a

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -54,7 +55,8 @@ serialization::byte_buffer make_frame(std::uint8_t kind, std::uint32_t src,
 
     serialization::byte_buffer bytes(header_size + payload.size());
     encode_header(h, bytes.data());
-    std::memcpy(bytes.data() + header_size, payload.data(), payload.size());
+    if (!payload.empty())    // memcpy from a null data() is undefined
+        std::memcpy(bytes.data() + header_size, payload.data(), payload.size());
     return bytes;
 }
 
@@ -68,6 +70,113 @@ TEST(wire_format, crc32c_known_vectors)
     std::uint8_t zeros[32] = {};
     EXPECT_EQ(crc32c(zeros, sizeof zeros), 0x8a9136aau);
     EXPECT_EQ(crc32c(nullptr, 0), 0u);
+}
+
+namespace {
+
+using crc_fn = std::uint32_t (*)(
+    void const*, std::size_t, std::uint32_t) noexcept;
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t n, std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v)
+        b = static_cast<std::uint8_t>(rng());
+    return v;
+}
+
+/// Known vectors and chaining, for one CRC implementation.
+void expect_crc_contract(crc_fn crc)
+{
+    EXPECT_EQ(crc("123456789", 9, 0), 0xe3069283u);
+    std::uint8_t zeros[32] = {};
+    EXPECT_EQ(crc(zeros, sizeof zeros, 0), 0x8a9136aau);
+    EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+
+    auto const bytes = seeded_bytes(4096 + 13, 5);
+    std::uint32_t const whole = crc(bytes.data(), bytes.size(), 0);
+    for (std::size_t split : {0, 1, 7, 8, 9, 63, 4096, 4096 + 13})
+    {
+        std::uint32_t const a = crc(bytes.data(), split, 0);
+        EXPECT_EQ(crc(bytes.data() + split, bytes.size() - split, a), whole)
+            << "split " << split;
+    }
+}
+
+}    // namespace
+
+TEST(wire_format, crc32c_software_contract)
+{
+    expect_crc_contract(&detail::crc32c_sw);
+}
+
+TEST(wire_format, crc32c_hardware_contract)
+{
+    if (!detail::crc32c_hw_available())
+        GTEST_SKIP() << "CPU without SSE4.2";
+    expect_crc_contract(&detail::crc32c_hw);
+}
+
+TEST(wire_format, crc32c_hardware_matches_software)
+{
+    if (!detail::crc32c_hw_available())
+        GTEST_SKIP() << "CPU without SSE4.2";
+    // Every length up to 1 KiB at every start alignment covers the
+    // byte-wise head and tail around the 8-byte word loop.
+    auto const bytes = seeded_bytes(1024 + 8, 11);
+    for (std::size_t offset = 0; offset != 8; ++offset)
+        for (std::size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(detail::crc32c_hw(bytes.data() + offset, len, 0),
+                detail::crc32c_sw(bytes.data() + offset, len, 0))
+                << "offset " << offset << " length " << len;
+
+    auto const big = seeded_bytes(1u << 20, 17);
+    EXPECT_EQ(detail::crc32c_hw(big.data(), big.size(), 0),
+        detail::crc32c_sw(big.data(), big.size(), 0));
+    EXPECT_EQ(detail::crc32c_hw(big.data(), big.size(), 0x1234u),
+        detail::crc32c_sw(big.data(), big.size(), 0x1234u));
+    // The dispatched entry point is one of the two.
+    EXPECT_EQ(crc32c(big.data(), big.size()),
+        detail::crc32c_sw(big.data(), big.size(), 0));
+}
+
+TEST(wire_format, in_place_payload_receive)
+{
+    // A caller that reads the stream itself: header bytes through feed(),
+    // then the payload written straight into payload_window() and
+    // committed in pieces.  Same frames, same checks as feed() alone.
+    harness h;
+    serialization::byte_buffer payload(5000);
+    for (std::size_t i = 0; i != payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 5);
+    auto good = make_frame(1, 2, 3, payload, 1);
+    auto bad = make_frame(1, 2, 3, payload, 2);
+    bad[header_size + 100] ^= 0x10;
+
+    EXPECT_TRUE(h.dec.payload_window().empty());
+    for (auto const* frame : {&good, &bad, &good})
+    {
+        ASSERT_TRUE(h.dec.feed(frame->data(), header_size));
+        std::size_t off = header_size;
+        while (off != frame->size())
+        {
+            auto const window = h.dec.payload_window();
+            ASSERT_EQ(window.size(), frame->size() - off);
+            std::size_t const n = std::min<std::size_t>(window.size(), 1500);
+            std::memcpy(window.data(), frame->data() + off, n);
+            h.dec.commit(n);
+            off += n;
+        }
+        EXPECT_TRUE(h.dec.payload_window().empty());
+    }
+
+    ASSERT_EQ(h.out.frames.size(), 2u);
+    EXPECT_EQ(h.out.frames[0].second, payload);
+    EXPECT_EQ(h.out.frames[1].second, payload);
+    ASSERT_EQ(h.out.errors.size(), 1u);
+    EXPECT_EQ(h.out.errors[0], decode_error::bad_payload_crc);
+    EXPECT_EQ(h.dec.buffered_bytes(), 0u);
 }
 
 TEST(wire_format, roundtrip_single_frame)
