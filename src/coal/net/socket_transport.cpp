@@ -57,10 +57,6 @@ constexpr std::uint32_t control_locality = 0xffffffffu;
 constexpr std::size_t gather_max_iov = IOV_MAX < 1024 ? IOV_MAX : 1024;
 constexpr std::size_t gather_max_bytes = 1u << 20;
 
-/// Payload size from which a frame is worth a header-only read, so its
-/// payload is received in place instead of copied from the stack buffer.
-constexpr std::uint32_t in_place_min_payload = 16u << 10;
-
 void set_nonblock(int fd)
 {
     int const flags = ::fcntl(fd, F_GETFL, 0);
@@ -170,12 +166,13 @@ struct socket_transport::connection
     std::deque<out_frame> q;
     std::size_t q_bytes = 0;
     std::size_t write_off = 0;
+    /// Last sign of life of this link's queue (guarded by qlock): a
+    /// write moved bytes, the queue went from empty to non-empty, or the
+    /// link (re)connected.  A sender back-pressured at the backlog
+    /// cap sheds once it is drain_timeout_ms old (wait_for_room).
+    std::int64_t progress_ns = 0;
 
     std::unique_ptr<wire::frame_decoder> decoder;
-    /// Recent frame payload size, a running max decaying by a quarter
-    /// per frame: a link carrying large frames reads just the header at
-    /// a frame boundary so the payload lands in place (handle_readable).
-    std::uint32_t recent_payload = 0;
 
     std::int64_t backoff_us = 0;
     std::int64_t retry_at_ns = 0;
@@ -474,6 +471,8 @@ void socket_transport::send(std::uint32_t src, std::uint32_t dst,
         conn.q_bytes += f.total();
         queued_frames_.fetch_add(1, std::memory_order_acq_rel);
         first = conn.q.empty();
+        if (first)
+            conn.progress_ns = now_ns();
         conn.q.push_back(std::move(f));
     }
     // Only the frame that makes the queue non-empty wakes the IO thread:
@@ -504,6 +503,8 @@ void socket_transport::enqueue_control(std::uint32_t endpoint_index,
         h.seq = conn.next_seq++;
         wire::encode_header(h, f.header);
         conn.q_bytes += f.total();
+        if (conn.q.empty())
+            conn.progress_ns = now_ns();
         conn.q.push_back(std::move(f));
     }
     wake();
@@ -513,8 +514,6 @@ bool socket_transport::wait_for_room(connection& c,
     std::unique_lock<std::mutex>& qlock, std::size_t bytes,
     std::uint32_t src, std::uint32_t dst)
 {
-    std::uint64_t written = 0;
-    std::int64_t progress_ns = 0;
     while (c.q_bytes + bytes > params_.max_backlog_bytes)
     {
         // Only a sender that may block waits: not the IO thread (it is
@@ -528,27 +527,20 @@ bool socket_transport::wait_for_room(connection& c,
             stopping_.load(std::memory_order_acquire) || is_down(src, dst))
             return false;
 
-        // A link that wrote nothing for drain_timeout_ms is stuck.
-        std::uint64_t const now_written =
-            wire_frames_sent_.load(std::memory_order_relaxed);
-        std::int64_t const now = now_ns();
-        if (progress_ns == 0 || now_written != written)
-        {
-            written = now_written;
-            progress_ns = now;
-        }
-        else if (now - progress_ns > params_.drain_timeout_ms * 1'000'000)
+        // A link that wrote nothing for drain_timeout_ms is stuck: a peer
+        // that stopped reading, or a connect that never completes.
+        if (now_ns() - c.progress_ns > params_.drain_timeout_ms * 1'000'000)
             return false;
 
-        // Registering as a waiter before qlock is released makes the IO
-        // thread's notify reach this wait (see handle_writable).
-        backlog_waiters_.fetch_add(1, std::memory_order_seq_cst);
+        // The IO thread notifies drain_cv_ whenever it retires frames.
+        // The wait is capped at 1 ms, which re-checks what nobody signals
+        // (closed, down, stuck) and bounds the cost of a notify that lands
+        // between releasing qlock and waiting.
+        qlock.unlock();
         {
             std::unique_lock drain_lock(drain_mutex_);
-            qlock.unlock();
             drain_cv_.wait_for(drain_lock, std::chrono::milliseconds(1));
         }
-        backlog_waiters_.fetch_sub(1, std::memory_order_relaxed);
         qlock.lock();
     }
     return true;
@@ -611,6 +603,10 @@ void socket_transport::finish_connect(connection& c, std::int64_t now_ns_)
     (void) now_ns_;
     c.st = connection::state::open;
     c.backoff_us = params_.reconnect_initial_us;
+    {
+        std::lock_guard lock(c.qlock);
+        c.progress_ns = now_ns();
+    }
     c.peer_goodbye = false;
     c.hello_verified = false;
     wire_connects_.fetch_add(1, std::memory_order_relaxed);
@@ -845,6 +841,7 @@ void socket_transport::handle_writable(connection& c)
         // (local ones, released again at delivery).
         std::size_t left = static_cast<std::size_t>(n);
         std::lock_guard lock(c.qlock);
+        c.progress_ns = now_ns();
         while (left != 0)
         {
             out_frame const& f = c.q.front();
@@ -877,15 +874,7 @@ void socket_transport::handle_writable(connection& c)
     }
 
     if (retired)
-    {
-        if (backlog_waiters_.load(std::memory_order_seq_cst) != 0)
-        {
-            // A back-pressured sender registered before releasing qlock;
-            // taking drain_mutex_ orders this notify after its wait.
-            std::lock_guard lock(drain_mutex_);
-        }
         drain_cv_.notify_all();
-    }
 }
 
 void socket_transport::handle_readable(connection& c)
@@ -898,19 +887,13 @@ void socket_transport::handle_readable(connection& c)
     std::uint8_t buf[64 * 1024];
     for (;;)
     {
-        // A validated header's payload is received in place, into the
-        // frame's slab.  At a frame boundary the read goes through the
-        // stack buffer and feed(): a whole buffer when frames are small
-        // (many frames per recv), or just the header when they are large,
-        // so the payload behind it is not copied twice.
+        // Once feed() has validated a header, the rest of that frame's
+        // payload is received in place, into the frame's slab; everything
+        // else goes through the stack buffer and feed().
         auto const window = c.decoder->payload_window();
-        std::size_t want = sizeof buf;
-        if (!window.empty())
-            want = window.size();
-        else if (c.recent_payload >= in_place_min_payload)
-            want = wire::header_size - c.decoder->buffered_bytes();
-        auto const n = ::recv(
-            c.fd, window.empty() ? buf : window.data(), want, 0);
+        auto const n = window.empty() ?
+            ::recv(c.fd, buf, sizeof buf, 0) :
+            ::recv(c.fd, window.data(), window.size(), 0);
         if (n > 0)
         {
             wire_bytes_received_.fetch_add(
@@ -983,8 +966,6 @@ void socket_transport::on_frame(connection& c, wire::frame_header const& h,
         return;
 
     wire_frames_received_.fetch_add(1, std::memory_order_relaxed);
-    c.recent_payload =
-        std::max(h.payload_len, c.recent_payload - c.recent_payload / 4);
 
     switch (static_cast<wire::frame_kind>(h.kind))
     {

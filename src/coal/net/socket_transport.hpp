@@ -41,7 +41,8 @@
 /// sender threads only append to per-connection outbound queues and wake
 /// the IO thread through a self-pipe.  The IO thread writes every queued
 /// frame it can in one gathered sendmsg() per writable event, and
-/// receives a validated frame's payload straight into its slab.
+/// receives the unread rest of a validated frame's payload straight
+/// into its slab.
 /// Delivery handlers run on the IO thread and must be cheap (the parcel
 /// layer just inbox-pushes).
 
@@ -100,7 +101,8 @@ struct socket_params
     /// or about to connect) a sender that would pass it waits for the IO
     /// thread to drain room (back-pressure), unless it runs on the IO
     /// thread itself (a delivery handler re-entering send() must never
-    /// block) or the link wrote nothing for `drain_timeout_ms`.  Those
+    /// block) or that connection wrote nothing for `drain_timeout_ms` (a
+    /// peer that stopped reading, a connect that never completes).  Those
     /// senders, and any sender toward a lost connection (closed, waiting
     /// out its reconnect backoff), shed the frame instead (counted in
     /// `backlog_drops`); the reliability layer retransmits it.
@@ -117,7 +119,8 @@ struct socket_params
 
     /// drain()/shutdown(): after this long without forward progress the
     /// transport reconciles (drops what is stuck, counted) instead of
-    /// hanging quiesce forever.
+    /// hanging quiesce forever.  Also how long a connection may write
+    /// nothing before a sender back-pressured on it sheds instead.
     std::int64_t drain_timeout_ms = 2'000;
 };
 
@@ -387,12 +390,9 @@ private:
     std::atomic<std::uint64_t> wire_backlog_drops_{0};
 
     /// Signalled when the IO thread retires written frames.  Waiters:
-    /// drain(), and senders back-pressured at the backlog cap
-    /// (backlog_waiters_ counts the latter, so the IO thread takes
-    /// drain_mutex_ to notify only when one is blocked).
+    /// drain(), and senders back-pressured at the backlog cap.
     std::mutex drain_mutex_;
     std::condition_variable drain_cv_;
-    std::atomic<std::uint32_t> backlog_waiters_{0};
 };
 
 }    // namespace coal::net

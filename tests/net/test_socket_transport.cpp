@@ -26,6 +26,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace {
@@ -407,6 +408,70 @@ TEST(SocketTransport, BacklogShedsTowardUnreachablePeer)
     EXPECT_GT(net.wire_stats().backlog_drops, 0u);
     net.shutdown();
     expect_conserved(net);
+}
+
+TEST(SocketTransport, BackPressureShedsOnStuckLinkWhileOthersProgress)
+{
+    // Locality 2's endpoint is a bare listener that never accepts: the
+    // connect succeeds, the link opens, and its socket buffer fills with
+    // nobody reading.  Meanwhile the 0 -> 1 link keeps writing.  A sender
+    // back-pressured toward locality 2 must shed once that link has
+    // written nothing for drain_timeout_ms, whatever the other links do.
+    std::string const tag = std::to_string(::getpid());
+    std::string const stuck_path = "/tmp/coal-stuck-" + tag + ".sock";
+    ::unlink(stuck_path.c_str());
+    int const lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    ::sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, stuck_path.c_str(), sizeof addr.sun_path - 1);
+    ASSERT_EQ(
+        ::bind(lfd, reinterpret_cast<::sockaddr*>(&addr), sizeof addr), 0);
+    ASSERT_EQ(::listen(lfd, 4), 0);
+
+    socket_params p = uds_params();
+    std::string const self_path = "/tmp/coal-stuck-a-" + tag + ".sock";
+    p.endpoints = {self_path, self_path, stuck_path};
+    p.max_backlog_bytes = 256u << 10;
+    socket_transport net(p, 3, 0, 2);
+    std::atomic<int> delivered{0};
+    net.set_delivery_handler(
+        1, [&](std::uint32_t, shared_buffer&&) { ++delivered; });
+
+    std::atomic<bool> stuck_done{false};
+    std::atomic<int> progressed{0};
+    std::thread progress([&] {
+        coal::stopwatch sw;
+        while (!stuck_done.load() && sw.elapsed_ms() < 8000)
+        {
+            net.send(0, 1, patterned(1024, 5));
+            ++progressed;
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+
+    coal::stopwatch sw;
+    std::thread stuck([&] {
+        for (int i = 0; i != 16; ++i)
+            net.send(0, 2, patterned(64u << 10, 9));
+        stuck_done = true;
+    });
+    stuck.join();
+    double const blocked_ms = sw.elapsed_ms();
+    int const progressed_meanwhile = progressed.load();
+    progress.join();
+
+    // One drain_timeout_ms (500 ms) of no progress on the stuck link,
+    // with slack for a loaded machine; far below the progress thread's
+    // 8 s, which would bound the wait if other links' writes counted.
+    EXPECT_LT(blocked_ms, 3000.0);
+    EXPECT_GT(net.wire_stats().backlog_drops, 0u);
+    EXPECT_GT(progressed_meanwhile, 0);
+    EXPECT_TRUE(wait_for([&] { return delivered.load() == progressed.load(); }));
+
+    net.shutdown();
+    ::close(lfd);
+    ::unlink(stuck_path.c_str());
 }
 
 TEST(SocketTransport, FaultyTransportComposesOverRealWire)
